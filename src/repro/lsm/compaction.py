@@ -117,8 +117,9 @@ def merge_into_proc(cursors: List, sink, drop_tombstones: bool):
     instead of the old O(k) scan over every cursor.  Ties pop in cursor-
     index order, so the newest cursor (lowest index) still supplies the
     value and duplicate holders advance in exactly the order the linear
-    scan advanced them — :func:`merge_into_linear_proc` is kept as the
-    executable spec and the identity test pins the two together.
+    scan advanced them — ``merge_into_linear_proc`` in ``tests/oracles.py``
+    is kept as the executable spec and the identity test pins the two
+    together.
 
     Returns the number of entries emitted.
     """
@@ -149,35 +150,6 @@ def merge_into_proc(cursors: List, sink, drop_tombstones: bool):
         yield from sink(best_key, chosen_value)
         emitted += 1
     return emitted
-
-
-def merge_into_linear_proc(cursors: List, sink, drop_tombstones: bool):
-    """The original O(k)-per-entry merge, kept as the executable spec
-    for :func:`merge_into_proc`'s bit-identity test."""
-    for cursor in cursors:
-        yield from cursor.open_proc()
-    emitted = 0
-    while True:
-        best_key = None
-        for cursor in cursors:
-            if cursor.current is not None:
-                key = cursor.current[0]
-                if best_key is None or key < best_key:
-                    best_key = key
-        if best_key is None:
-            return emitted
-        chosen_value = None
-        seen = False
-        for cursor in cursors:
-            if cursor.current is not None and cursor.current[0] == best_key:
-                if not seen:
-                    chosen_value = cursor.current[1]
-                    seen = True
-                yield from cursor.advance_proc()
-        if drop_tombstones and isinstance(chosen_value, _Tombstone):
-            continue
-        yield from sink(best_key, chosen_value)
-        emitted += 1
 
 
 @dataclass

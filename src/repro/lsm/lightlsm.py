@@ -231,15 +231,16 @@ class LightLSMEnv(StorageEnv):
                 f"block {block_index} out of range for table "
                 f"{handle.sstable_id} ({layout.data_blocks} blocks)")
         key, first_sector = layout.block_location(block_index)
-        ppas = [Ppa(*key, first_sector + i)
-                for i in range(layout.block_sectors)]
-        completion = yield from self.media.read_proc(ppas)
-        self.media.require_ok(completion,
-                              f"block read {handle.sstable_id}/{block_index}")
+        # block_location places every block inside one chunk, so its
+        # sectors are one chunk-contiguous run.
+        payloads = yield from self.media.read_run_proc(
+            Ppa(*key, first_sector), layout.block_sectors)
+        self.media.require_payloads(
+            payloads, f"block read {handle.sstable_id}/{block_index}")
         self.stats.blocks_read += 1
         sector_size = self.geometry.sector_size
         return b"".join(pad_sector(payload, sector_size)
-                        for payload in completion.data)
+                        for payload in payloads)
 
     def read_meta_proc(self, handle: SSTableHandle):
         layout = self._layout(handle)
@@ -388,14 +389,13 @@ class LightLSMEnv(StorageEnv):
 
     def _read_meta_proc(self, layout: _TableLayout):
         """Read the meta bytes from the meta chunk."""
-        key = layout.meta_chunk
-        ppas = [Ppa(*key, i) for i in range(layout.meta_sectors)]
-        completion = yield from self.media.read_proc(ppas)
-        if not completion.ok:
+        payloads = yield from self.media.read_run_proc(
+            Ppa(*layout.meta_chunk, 0), layout.meta_sectors)
+        if payloads is None:
             return None
         sector_size = self.geometry.sector_size
         return b"".join(pad_sector(payload, sector_size)
-                        for payload in completion.data)
+                        for payload in payloads)
 
     def _read_meta_of_layout(self, layout: _TableLayout):
         """Commit validation + meta read for an in-memory layout."""

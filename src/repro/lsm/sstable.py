@@ -21,6 +21,7 @@ Block encoding: back-to-back entries ``[u8 flag][u32 klen][key][u32 vlen]
 
 from __future__ import annotations
 
+import bisect
 import struct
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple, Union
@@ -65,12 +66,33 @@ def iter_block(block: bytes) -> Iterator[Tuple[bytes, Value]]:
 
 
 def search_block(block: bytes, key: bytes) -> Optional[Value]:
-    """Point lookup within one decoded block."""
-    for entry_key, value in iter_block(block):
+    """Point lookup within one data block.
+
+    One offset walk over the raw block with the same decoding rules as
+    :func:`iter_block`: each entry's key is sliced for the comparison,
+    its value only on a hit, and the walk stops at the first key past
+    *key*.
+    """
+    unpack_header = _ENTRY_HEADER.unpack_from
+    unpack_u32 = _U32.unpack_from
+    header = _ENTRY_HEADER.size
+    offset = 0
+    last_header = len(block) - header
+    while offset <= last_header:
+        flag, klen = unpack_header(block, offset)
+        if klen == 0:
+            return None   # padding reached
+        offset += header
+        entry_key = block[offset:offset + klen]
+        offset += klen
+        (vlen,) = unpack_u32(block, offset)
+        offset += 4
         if entry_key == key:
-            return value
+            return TOMBSTONE if flag == 1 else block[offset:offset + vlen]
         if entry_key > key:
             return None
+        if flag != 1:
+            offset += vlen
     return None
 
 
@@ -104,7 +126,6 @@ class SSTableMeta:
         range or the bloom filter rules it out)."""
         if not self.covers(key) or not self.bloom.may_contain(key):
             return None
-        import bisect
         index = bisect.bisect_right(self.first_keys, key) - 1
         return max(0, index)
 

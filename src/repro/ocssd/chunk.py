@@ -291,13 +291,19 @@ class Chunk:
         sector_size = self.sector_size
         ws_min = self.ws_min
         result: List[Payload] = []
-        for index in range(sector, sector + count):
-            if valid[index]:
-                at = (index % ws_min) * sector_size
-                result.append(memoryview(slabs[index // ws_min])
-                              [at:at + lengths[index]])
-            else:
-                result.append(None)
+        end = sector + count
+        # Walk unit by unit: one memoryview per slab, sliced per sector.
+        for unit in range(sector // ws_min, (end - 1) // ws_min + 1):
+            base = unit * ws_min
+            view = None
+            for index in range(max(sector, base), min(end, base + ws_min)):
+                if valid[index]:
+                    if view is None:
+                        view = memoryview(slabs[unit])
+                    at = (index - base) * sector_size
+                    result.append(view[at:at + lengths[index]])
+                else:
+                    result.append(None)
         return result
 
     def read_oob(self, sector: int, count: int = 1) -> List[Optional[object]]:

@@ -198,17 +198,9 @@ class OpenChannelSSD:
             if obs is not None:
                 obs.error("ocssd", "invalid-command", str(exc))
         if obs is not None:
-            obs.end(span, status=completion.status.name)
-            latency = self.sim.now - submitted
-            obs.metrics.histogram(f"ocssd.{kind}.latency_s").record(latency)
-            tenant = getattr(command, "tenant", None)
-            if tenant is not None:
-                # Per-tenant end-to-end latency, recorded whether or not a
-                # scheduler is attached — the shared-FIFO baseline in the
-                # isolation bench reads its p99 from this histogram too.
-                obs.metrics.histogram(
-                    f"qos.tenant.{tenant.name}.{kind}.latency_s").record(
-                    latency)
+            self._end_command_span(obs, span, kind, completion.status.name,
+                                   getattr(command, "tenant", None),
+                                   submitted)
         completion.submitted_at = submitted
         completion.completed_at = self.sim.now
         return completion
@@ -331,26 +323,61 @@ class OpenChannelSSD:
         return Completion(status=_WRITE_FAILED,
                           error="program failure (see notifications)")
 
-    def read_single_proc(self, ppa: Ppa, tenant=None):
-        """Process generator: the one-sector read fast lane.
+    def read_run_proc(self, ppa: Ppa, count: int, tenant=None, parent=None):
+        """Process generator: the chunk-contiguous read lane.
 
-        Semantically ``submit(VectorRead(ppas=[ppa], tenant=...))`` for a
-        powered device, minus the command/Completion objects and the
-        dispatch frames — random point reads dominate every read-heavy
-        workload, so the FTL drives this lane when no tracing is
-        attached.  Returns the one-element payload list, or ``None`` on
-        any failure (power loss, uncorrectable read) — callers retry or
-        surface the error exactly as they would a failed Completion.
+        Semantically ``submit(VectorRead(ppas=[ppa, ppa+1, ...,
+        ppa+count-1], tenant=...), parent)`` for ``count >= 1`` sectors of
+        one chunk, minus the command, the per-sector addresses, the run
+        splitter, the OOB read and the Completion.  Every FTL read of a
+        known chunk-contiguous run drives this lane.  Returns the payload
+        list, or ``None`` wherever ``submit`` would return a non-OK
+        completion (power loss, uncorrectable read, invalid address);
+        callers retry or surface the error exactly as they would a failed
+        Completion.  With obs attached the lane opens and closes the same
+        ``ocssd``/``read`` span and latency samples that ``submit`` does.
         """
         faults = self.faults
         if faults is not None and not faults.powered:
             return None
-        self.geometry.check(ppa)
+        obs = self.obs
+        if obs is None:
+            try:
+                self.geometry.check(ppa)
+                return (yield from self.controller.read_run(
+                    self.chunks[ppa[:3]], ppa[3], count, tenant=tenant))
+            except ReproError:
+                return None
+        submitted = self.sim.now
+        span = obs.begin("ocssd", "read", parent)
+        payloads = None
         try:
-            return (yield from self.controller.read_run(
-                self.chunks[ppa[:3]], ppa[3], 1, tenant=tenant))
+            self.geometry.check(ppa)
+            payloads = yield from self.controller.read_run(
+                self.chunks[ppa[:3]], ppa[3], count, span=span,
+                tenant=tenant)
+            status = _OK
         except MediaError:
-            return None
+            status = _READ_FAILED
+        except ReproError as exc:
+            status = _INVALID
+            obs.error("ocssd", "invalid-command", str(exc))
+        self._end_command_span(obs, span, "read", status.name, tenant,
+                               submitted)
+        return payloads
+
+    def _end_command_span(self, obs, span, kind: str, status: str, tenant,
+                          submitted: float) -> None:
+        """Close a command's root span and record its latency samples."""
+        obs.end(span, status=status)
+        latency = self.sim.now - submitted
+        obs.metrics.histogram(f"ocssd.{kind}.latency_s").record(latency)
+        if tenant is not None:
+            # Per-tenant end-to-end latency, recorded whether or not a
+            # scheduler is attached — the shared-FIFO baseline in the
+            # isolation bench reads its p99 from this histogram too.
+            obs.metrics.histogram(
+                f"qos.tenant.{tenant.name}.{kind}.latency_s").record(latency)
 
     def _do_read(self, command: VectorRead, span=None):
         ppas = command.ppas

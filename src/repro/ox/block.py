@@ -410,9 +410,8 @@ class OXBlock:
         if sectors == 1:
             # The dominant shape (random point reads): same lookup order
             # and retry policy as the vector loop below, minus the
-            # per-attempt list building.  With no tracing attached the
-            # media round-trip takes the device's fused single-sector
-            # lane (no command/Completion objects).
+            # per-attempt list building; the media round-trip takes the
+            # device's chunk-run lane (no command/Completion objects).
             piece = None
             for attempt in range(3):
                 buffered = self.buffer.lookup(lba)
@@ -423,18 +422,11 @@ class OXBlock:
                 if linear is None:
                     piece = b"\x00" * sector_size
                     break
-                if obs is None:
-                    payloads = yield from self.media.read_single_proc(
-                        self.geometry.delinearize(linear))
-                    if payloads is not None:
-                        piece = pad_sector(payloads[0], sector_size)
-                        break
-                else:
-                    completion = yield from self.media.read_proc(
-                        [self.geometry.delinearize(linear)], parent=span)
-                    if completion.ok:
-                        piece = pad_sector(completion.data[0], sector_size)
-                        break
+                payloads = yield from self.media.read_run_proc(
+                    self.geometry.delinearize(linear), 1, parent=span)
+                if payloads is not None:
+                    piece = pad_sector(payloads[0], sector_size)
+                    break
                 # Racing relocation/reset: retry against the fresh mapping.
             else:
                 raise FTLError(f"read at lba {lba} kept racing relocation")

@@ -223,12 +223,13 @@ class OXEleos:
             raise FTLError(f"page {page_id} is not mapped")
         sector_size = self.geometry.sector_size
         covering = max(1, -(-(entry.offset + entry.length) // sector_size))
-        first = self.geometry.delinearize(entry.first_sector)
-        ppas = [first.with_sector(first.sector + i) for i in range(covering)]
-        completion = yield from self.media.read_proc(ppas)
-        self.media.require_ok(completion, f"page {page_id} read")
+        # A page never crosses a chunk boundary, so its sectors are one
+        # chunk-contiguous run.
+        payloads = yield from self.media.read_run_proc(
+            self.geometry.delinearize(entry.first_sector), covering)
+        self.media.require_payloads(payloads, f"page {page_id} read")
         blob = b"".join(pad_sector(payload, sector_size)
-                        for payload in completion.data)
+                        for payload in payloads)
         self.stats.pages_read += 1
         return blob[entry.offset:entry.offset + entry.length]
 
@@ -242,9 +243,10 @@ class OXEleos:
             chunks = self.segments.get(segment_id)
             if chunks is None:
                 raise FTLError(f"unknown segment {segment_id}")
+            linears = {self._chunk_linear(key) for key in chunks}
+            per_chunk = self.geometry.sectors_per_chunk
             stale = [page_id for page_id, entry in self.vmap.items()
-                     if self.geometry.delinearize(entry.first_sector)
-                     .chunk_key() in set(chunks)]
+                     if entry.first_sector // per_chunk in linears]
             if stale:
                 raise FTLError(
                     f"segment {segment_id} still holds live pages "

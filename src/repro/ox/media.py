@@ -69,10 +69,11 @@ class MediaManager:
         return self.device.submit(VectorRead(ppas=ppas, tenant=self.tenant),
                                   parent=parent)
 
-    def read_single_proc(self, ppa: Ppa):
-        """One-sector read fast lane; see
-        :meth:`repro.ocssd.OpenChannelSSD.read_single_proc`."""
-        return self.device.read_single_proc(ppa, tenant=self.tenant)
+    def read_run_proc(self, ppa: Ppa, count: int, parent=None):
+        """Chunk-contiguous read lane; returns the payload list or
+        ``None``.  See :meth:`repro.ocssd.OpenChannelSSD.read_run_proc`."""
+        return self.device.read_run_proc(ppa, count, tenant=self.tenant,
+                                         parent=parent)
 
     def reset_proc(self, ppa: Ppa, parent=None):
         return self.device.submit(ChunkReset(ppa=ppa, tenant=self.tenant),
@@ -130,3 +131,10 @@ class MediaManager:
                 f"{context}: {completion.status.value}"
                 + (f" ({completion.error})" if completion.error else ""))
         return completion
+
+    def require_payloads(self, payloads: Optional[List[Optional[bytes]]],
+                         context: str) -> List[Optional[bytes]]:
+        """Raise :class:`MediaError` if a :meth:`read_run_proc` failed."""
+        if payloads is None:
+            raise MediaError(f"{context}: read failed")
+        return payloads

@@ -11,9 +11,10 @@ Design notes
   completions — cost O(1) amortized instead of O(log n) each.
 * Determinism: pushes happen in program order, so FIFO bucket order
   equals the ``(time, sequence)`` order of the classic one-entry-per-
-  event heap.  :class:`HeapqSimulator` keeps that original engine alive,
-  and the equivalence suite verifies both engines produce identical
-  clocks, event counts and per-op latencies on randomized workloads.
+  event heap.  ``tests/oracles.py`` keeps that original engine alive as
+  ``HeapqSimulator``, and the equivalence suite verifies both engines
+  produce identical clocks, event counts and per-op latencies on
+  randomized workloads.
 * Processes are plain Python generators.  A process yields :class:`Event`
   objects (timeouts, resource requests, other processes) and is resumed with
   the event's value once the event triggers, mirroring simpy's protocol.
@@ -289,8 +290,9 @@ class Simulator:
 
     The queue is a heap of *distinct* trigger times plus one FIFO bucket
     (a deque of entries) per time.  Scheduling order is identical to a
-    ``(time, sequence)`` heap — see :class:`HeapqSimulator`, the retained
-    reference engine — but same-instant entries share one heap node.
+    ``(time, sequence)`` heap — see ``HeapqSimulator`` in
+    ``tests/oracles.py``, the retained reference engine — but same-instant
+    entries share one heap node.
     """
 
     def __init__(self):
@@ -519,86 +521,6 @@ class Simulator:
                 if not bucket:
                     del buckets[when]
                     pop_time(times)
-        finally:
-            self.events_processed = processed
-        if not event._ok:
-            event.defuse()
-            raise event.value
-        return event.value
-
-
-class HeapqSimulator(Simulator):
-    """The original one-heap-entry-per-event engine.
-
-    Kept as the executable specification of scheduling order: entries are
-    ``(time, sequence)`` tuples in a single binary heap.  The equivalence
-    tests run identical workloads on both engines and assert identical
-    clocks, event counts and latencies; production code uses the calendar
-    queue of :class:`Simulator`.
-    """
-
-    def __init__(self):
-        super().__init__()
-        self._queue: list[tuple[float, int, Any]] = []
-        self._sequence = 0
-
-    def _push(self, when: float, entry: Any) -> None:
-        self._sequence += 1
-        heapq.heappush(self._queue, (when, self._sequence, entry))
-
-    def queue_empty(self) -> bool:
-        return not self._queue
-
-    def step(self) -> None:
-        when, __, entry = heapq.heappop(self._queue)
-        self.now = when
-        self.events_processed += 1
-        if isinstance(entry, Event):
-            entry._run_callbacks()
-        else:
-            entry()
-
-    def run(self, until: Optional[float] = None) -> None:
-        if until is not None and until < self.now:
-            raise SimulationError(
-                f"cannot run until {until}; clock is already at {self.now}")
-        queue = self._queue
-        pop = heapq.heappop
-        processed = self.events_processed
-        try:
-            while queue:
-                when = queue[0][0]
-                if until is not None and when > until:
-                    break
-                when, __, entry = pop(queue)
-                self.now = when
-                processed += 1
-                if isinstance(entry, Event):
-                    entry._run_callbacks()
-                else:
-                    entry()
-        finally:
-            self.events_processed = processed
-        if until is not None:
-            self.now = max(self.now, until)
-
-    def run_until(self, event: Event) -> Any:
-        queue = self._queue
-        pop = heapq.heappop
-        processed = self.events_processed
-        try:
-            while not event._processed:
-                if not queue:
-                    raise SimulationError(
-                        "simulation deadlocked: event queue empty but the "
-                        "awaited event never triggered")
-                when, __, entry = pop(queue)
-                self.now = when
-                processed += 1
-                if isinstance(entry, Event):
-                    entry._run_callbacks()
-                else:
-                    entry()
         finally:
             self.events_processed = processed
         if not event._ok:

@@ -18,6 +18,8 @@ from repro.lsm.sstable import (
 )
 from repro.sim import Simulator
 
+from tests.oracles import search_block_by_scan
+
 
 class TestBloomFilter:
     def test_no_false_negatives(self):
@@ -114,6 +116,33 @@ class TestSSTableFormat:
         block = b"".join(encode_entry(k, v) for k, v in entries)
         assert search_block(block, b"k004") == b"4"
         assert search_block(block, b"k005") is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(st.binary(min_size=1, max_size=6),
+                           st.one_of(st.binary(max_size=12),
+                                     st.just(TOMBSTONE)),
+                           max_size=12),
+           st.one_of(st.integers(0, 40).map(bytes),
+                     st.binary(min_size=1, max_size=4)),
+           st.lists(st.binary(max_size=7), max_size=4))
+    def test_search_block_matches_scan(self, entries, tail, extra_probes):
+        # Sorted entries, then zero padding or a tail shorter than an
+        # entry header.
+        entries = sorted(entries.items())
+        block = b"".join(encode_entry(k, v) for k, v in entries) + tail
+        keys = [key for key, __ in entries]
+        probes = [b""] + keys + extra_probes
+        probes += [key + b"\x00" for key in keys]     # between entries
+        probes += [key[:-1] for key in keys]           # before an entry
+        if keys:
+            probes.append(keys[-1] + b"\xff")         # after the last
+        for probe in probes:
+            expected = search_block_by_scan(block, probe)
+            got = search_block(block, probe)
+            assert got == expected
+            assert (got is TOMBSTONE) == (expected is TOMBSTONE)
+        for key, value in entries:
+            assert search_block(block, key) == value
 
     def test_builder_emits_fixed_size_blocks(self):
         builder = SSTableBuilder(1, 1, block_size=256)

@@ -14,7 +14,6 @@ from repro.lsm.compaction import (
     CompactionPick,
     MemCursor,
     TableRef,
-    merge_into_linear_proc,
     merge_into_proc,
     pick_compaction,
 )
@@ -23,6 +22,8 @@ from repro.lsm.memtable import ImmutableMemtable, MemTable
 from repro.lsm.sstable import build_sstable
 from repro.obs import Obs
 from repro.sim import Simulator
+
+from tests.oracles import merge_into_linear_proc
 
 
 def make_db(obs=False, write_latency=1e-6, **config_overrides):

@@ -5,6 +5,8 @@ import pytest
 from repro.errors import SimulationError
 from repro.sim import Interrupt, Resource, Simulator
 
+from tests.oracles import HeapqSimulator
+
 
 def test_clock_starts_at_zero():
     sim = Simulator()
@@ -282,7 +284,7 @@ def test_determinism_two_identical_runs():
 
 # -- calendar-queue vs heapq engine equivalence -------------------------------
 #
-# HeapqSimulator is the executable specification of scheduling order (one
+# HeapqSimulator (tests/oracles.py) is the executable specification of scheduling order (one
 # (time, sequence) heap entry per event); the production Simulator must
 # reproduce it exactly — same clock, same event counts, same per-op
 # latencies — on workloads that stress shared-instant buckets, resource
@@ -324,8 +326,6 @@ def _randomized_storm(sim, seed, workers=8, ops=40):
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 11, 29])
 def test_engine_equivalence_randomized(seed):
-    from repro.sim.core import HeapqSimulator
-
     runs = []
     for engine in (Simulator, HeapqSimulator):
         sim = engine()
