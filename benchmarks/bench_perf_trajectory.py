@@ -19,10 +19,10 @@ Reported metrics:
 
 Results append to ``BENCH_perf.json`` at the repo root (a JSON list of
 ``{"name", "date", "metrics"}`` entries) so successive PRs build a
-trajectory.  ``--profile`` additionally writes a cProfile top-25 to
-``benchmarks/results/profile_top.txt``.  ``--check`` compares against the
-last committed entry of the same name and fails on a >30 % ops/sec
-regression (used by ``make check``).
+trajectory.  ``--check`` compares against the last committed entry of
+the same name and fails on a >30 % ops/sec regression (used by ``make
+check``).  ``scripts/profile_stack.py --bench macro|smoke`` profiles the
+same fill and read phases (:func:`run_phases`) per layer.
 
 Run directly::
 
@@ -40,7 +40,6 @@ import time
 from typing import Optional
 
 from repro.benchhelpers import (
-    RESULTS_DIR,
     TRAJECTORY_PATH,
     append_trajectory,
     git_sha,
@@ -68,15 +67,16 @@ MACRO = dict(name="perf_macro", groups=8, pus=4, chunks=64, pages=6,
              wal_chunks=16, ckpt_chunks=4, fill_ops=1_500, read_ops=15_000,
              qos=True, storm=(200, 250))
 # Tiny geometry for `make check` smoke runs and the pytest smoke test.
-# No qos here on purpose: the qos/obs guards use this config to price the
-# *detached* sidecar fast paths against benchmarks/results/perf_smoke.txt.
+# No qos here on purpose: scripts/overhead_gate.py uses this config to
+# time the *detached* sidecar fast paths against
+# benchmarks/results/perf_smoke.txt.
 SMOKE = dict(name="perf_smoke", groups=2, pus=2, chunks=16, pages=6,
              wal_chunks=4, ckpt_chunks=2, fill_ops=40, read_ops=300,
              storm=(20, 50))
 
 
 def stack_spec(cfg: dict, **overrides) -> StackSpec:
-    """The perf-trajectory stack as a spec (shared with the guards)."""
+    """The perf-trajectory stack as a spec."""
     return StackSpec(
         name=cfg["name"],
         geometry={"num_groups": cfg["groups"], "pus_per_group": cfg["pus"],
@@ -106,7 +106,17 @@ def chunk_memory_bytes(device: OpenChannelSSD) -> int:
 
 
 def run_macro(cfg: dict) -> dict:
-    """Run fillseq + readrandom; return the metrics dict."""
+    """Run fillseq + readrandom, then the kernel storm; return the
+    metrics dict."""
+    registry = run_phases(cfg)
+    registry.gauge("kernel_events_per_sec").set(
+        run_kernel_storm(*cfg.get("storm", (200, 250))))
+    return registry.flat()
+
+
+def run_phases(cfg: dict) -> MetricsRegistry:
+    """Build the stack and run the timed fillseq + readrandom phases;
+    returns every :func:`run_macro` metric but the kernel storm's."""
     device, ftl = build_ftl(cfg)
     sim = device.sim
     rng = random.Random(17)
@@ -164,15 +174,13 @@ def run_macro(cfg: dict) -> dict:
         "ops_per_sec": round((fill_ops + read_ops) / total_wall, 1),
         "events_per_sec": round(
             (sim.events_processed - events_before) / total_wall, 1),
-        "kernel_events_per_sec": run_kernel_storm(*cfg.get("storm",
-                                                           (200, 250))),
         "sim_seconds": round(sim.now - sim_before, 6),
         "peak_map_bytes": peak_map,
         "peak_chunk_bytes": peak_chunk,
     }
     for key, value in gauges.items():
         registry.gauge(key).set(value)
-    return registry.flat()
+    return registry
 
 
 def run_kernel_storm(procs: int = 200, waits: int = 250) -> float:
@@ -245,9 +253,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--smoke", action="store_true",
                         help="tiny geometry / op counts (CI smoke run)")
-    parser.add_argument("--profile", action="store_true",
-                        help="cProfile the run; dump top-25 to "
-                             "benchmarks/results/profile_top.txt")
     parser.add_argument("--check", action="store_true",
                         help="fail (exit 1) on a >30%% ops/sec regression "
                              "vs the committed BENCH_perf.json entry")
@@ -263,27 +268,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     cfg = SMOKE if args.smoke else MACRO
-    if args.profile:
-        import cProfile
-        import io
-        import os
-        import pstats
-        profiler = cProfile.Profile()
-        profiler.enable()
-        metrics = run_macro(cfg)
-        profiler.disable()
-        buffer = io.StringIO()
-        stats = pstats.Stats(profiler, stream=buffer)
-        stats.sort_stats("cumulative").print_stats(25)
-        os.makedirs(RESULTS_DIR, exist_ok=True)
-        top_path = os.path.join(RESULTS_DIR, "profile_top.txt")
-        with open(top_path, "w") as handle:
-            handle.write(buffer.getvalue())
-        print(f"profile top-25 written to {top_path}")
-    else:
-        runs = [run_macro(cfg) for __ in range(max(1, args.repeat))]
-        runs.sort(key=lambda m: m["ops_per_sec"])
-        metrics = runs[len(runs) // 2]
+    runs = [run_macro(cfg) for __ in range(max(1, args.repeat))]
+    runs.sort(key=lambda m: m["ops_per_sec"])
+    metrics = runs[len(runs) // 2]
 
     report(cfg["name"], format_lines(cfg["name"], metrics))
 

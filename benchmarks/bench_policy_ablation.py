@@ -201,7 +201,7 @@ def summarize(rows: List[Dict[str, object]]) -> Dict[str, object]:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
-                        help="small sweep (the policy_guard shape)")
+                        help="small sweep (the tier-1 ablation test's shape)")
     parser.add_argument("--append", action="store_true",
                         help="append the summary to BENCH_perf.json")
     args = parser.parse_args(argv)

@@ -1,7 +1,9 @@
 #!/bin/sh
-# Tier-1 gate: the full test suite plus a perf smoke run with the
-# regression check (>30% ops/sec drop vs the committed BENCH_perf.json
-# entry fails the build).  No tox, no extra deps — plain pytest.
+# Tier-1 gate, four steps: the full test suite (golden-run table
+# included), a perf smoke run with the regression check (>30% ops/sec
+# drop vs the committed BENCH_perf.json entry fails the build), the
+# overhead gate (detached sidecars + cluster wrapper, 2% each), and the
+# randomized power-cut checker.  No tox, no extra deps — plain pytest.
 #
 # Usage: scripts/check.sh   (or `make check`)
 set -e
@@ -14,30 +16,13 @@ python -m pytest -x -q
 
 echo "== perf smoke (regression gate) =="
 # --repeat 3: the median run becomes the perf_smoke.txt baseline the
-# obs/qos overhead guards compare against moments later — a single
-# lucky-fast run would fail their 2% floors on pure measurement noise.
+# overhead gate's detached-sidecar check compares against moments
+# later — a single lucky-fast run would fail its 2% floor on pure
+# measurement noise.
 python benchmarks/bench_perf_trajectory.py --smoke --check --no-append --repeat 3
 
-echo "== obs guard (tracing overhead + trace validity) =="
-python scripts/obs_guard.py
-
-echo "== qos guard (no-qos fast path + isolation smoke) =="
-python scripts/qos_guard.py
-
-echo "== stack guard (no inline wiring + spec smoke) =="
-python scripts/stack_guard.py
-
-echo "== cluster guard (serial/parallel identity + wrapper overhead) =="
-python scripts/cluster_guard.py
-
-echo "== trace guard (record/replay identity + calibration + overhead) =="
-python scripts/trace_guard.py
-
-echo "== policy guard (default-policy identity + WAF ablation smoke) =="
-python scripts/policy_guard.py
-
-echo "== lsm guard (default bit-identity + concurrency plane smoke) =="
-python scripts/lsm_guard.py
+echo "== overhead gate (detached sidecars + cluster wrapper) =="
+python scripts/overhead_gate.py
 
 echo "== crash-consistency smoke (randomized power cuts) =="
 python -m repro.faults.checker --seeds 20

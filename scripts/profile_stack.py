@@ -1,9 +1,11 @@
 #!/usr/bin/env python
 """Profile any declared stack: cProfile + per-layer exclusive time.
 
-Runs a :class:`repro.stack.StackSpec` workload (a spec file, or the
-perf-trajectory macro/smoke shapes) under ``cProfile`` and reports where
-the wall time actually goes, twice over:
+Runs a :class:`repro.stack.StackSpec` workload from a spec file, or the
+perf-trajectory bench's own fill and read phases
+(``bench_perf_trajectory.run_phases``: the same stack, seed and op
+sequence as ``run_macro``, without the kernel storm), under ``cProfile``
+and reports where the wall time actually goes, twice over:
 
 1. **Per-layer attribution** — every profiled function is charged to the
    stack layer that owns its source file, using the same layer
@@ -22,7 +24,9 @@ Usage (from the repo root)::
     PYTHONPATH=src python scripts/profile_stack.py examples/specs/lightlsm_smoke.json
 
 The report prints and is also written to
-``benchmarks/results/profile_<name>.txt``.
+``benchmarks/results/profile_<name>.txt``.  Its workload metrics for
+``--bench`` carry the bench's own ``sim_seconds`` and
+``events_processed``.
 """
 
 from __future__ import annotations
@@ -33,11 +37,13 @@ import io
 import os
 import pstats
 import sys
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 sys.path.insert(0, os.path.join(REPO_ROOT, "benchmarks"))
+
+from repro.benchhelpers import report   # noqa: E402
 
 #: Source-path → layer attribution table.  First match wins; the labels
 #: follow the obs span vocabulary so a profile row and a trace span for
@@ -83,12 +89,10 @@ def layer_table(stats: pstats.Stats) -> List[Tuple[str, float, int]]:
                   key=lambda item: item[1], reverse=True)
 
 
-def run_profiled(spec) -> Tuple[dict, pstats.Stats]:
-    from repro.stack.runner import run_spec
-
+def run_profiled(run: Callable[[], dict]) -> Tuple[dict, pstats.Stats]:
     profiler = cProfile.Profile()
     profiler.enable()
-    metrics = run_spec(spec)
+    metrics = run()
     profiler.disable()
     return metrics, pstats.Stats(profiler)
 
@@ -114,21 +118,6 @@ def format_report(name: str, metrics: dict, stats: pstats.Stats,
     return "\n".join(lines)
 
 
-def bench_spec(shape: str):
-    """The perf-trajectory stack (macro or smoke) as a profiling target,
-    including its workload, so `--bench macro` profiles exactly what the
-    recorded BENCH_perf.json numbers measure."""
-    from bench_perf_trajectory import MACRO, SMOKE, stack_spec
-
-    cfg = {"macro": MACRO, "smoke": SMOKE}[shape]
-    overrides = {"workload": {"kind": "raw_fill_read",
-                              "fill_ops": cfg["fill_ops"],
-                              "read_ops": cfg["read_ops"]}}
-    if cfg.get("qos"):
-        overrides["tenants"] = [{"name": "bench"}]
-    return stack_spec(cfg, **overrides)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("spec", nargs="?", default=None,
@@ -144,21 +133,24 @@ def main(argv=None) -> int:
     if (args.spec is None) == (args.bench is None):
         parser.error("give a spec file or --bench macro|smoke (not both)")
     if args.bench is not None:
-        spec = bench_spec(args.bench)
-        name = f"perf_{args.bench}"
+        from bench_perf_trajectory import MACRO, SMOKE, run_phases
+        cfg = {"macro": MACRO, "smoke": SMOKE}[args.bench]
+        name = cfg["name"]
+
+        def run() -> dict:
+            return run_phases(cfg).flat()
     else:
         from repro.stack.__main__ import load_spec
+        from repro.stack.runner import run_spec
         spec = load_spec(args.spec)
         name = spec.name
 
-    metrics, stats = run_profiled(spec)
+        def run() -> dict:
+            return run_spec(spec)
+
+    metrics, stats = run_profiled(run)
     text = format_report(name, metrics, stats, max(1, args.top))
-    print(text)
-    results_dir = os.path.join(REPO_ROOT, "benchmarks", "results")
-    os.makedirs(results_dir, exist_ok=True)
-    path = os.path.join(results_dir, f"profile_{name}.txt")
-    with open(path, "w") as handle:
-        handle.write(text + "\n")
+    path = report(f"profile_{name}", text.splitlines())
     print(f"\nreport written to {path}")
     return 0
 

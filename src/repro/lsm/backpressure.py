@@ -17,7 +17,7 @@ log, and the ``lsm.backpressure.*`` obs instruments (state gauge +
 transition instants) when a hub is attached.  It deliberately creates
 no simulation events: the DB evaluates it at the points writes are
 gated and backgrounds complete, so attaching it never moves the
-timeline (the lsm_guard bit-identity pin depends on that).
+timeline (the lsm_fill golden-run pin depends on that).
 """
 
 from __future__ import annotations

@@ -12,11 +12,11 @@ chunk erasing.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import ReproError
-from repro.lsm.memtable import TOMBSTONE, _Tombstone
+from repro.lsm.memtable import _Tombstone
 from repro.lsm.sstable import SSTableMeta, iter_block
 
 

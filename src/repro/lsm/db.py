@@ -26,8 +26,7 @@ from repro.lsm.compaction import (
     pick_compaction,
 )
 from repro.lsm.env import StorageEnv
-from repro.lsm.memtable import (
-    TOMBSTONE, ImmutableMemtable, MemTable, _Tombstone)
+from repro.lsm.memtable import ImmutableMemtable, MemTable, _Tombstone
 from repro.qos.tokenbucket import TokenBucket
 from repro.lsm.sstable import SSTableBuilder, SSTableMeta, search_block
 from repro.sim.core import Interrupt, Simulator
@@ -55,7 +54,7 @@ class DBConfig:
     rate_limit_bytes_per_sec: Optional[float] = None
     readahead: bool = True              # iterator/compaction block prefetch
     # -- concurrency plane (defaults reproduce the single-daemon engine
-    # bit-identically; scripts/lsm_guard.py pins that) -----------------
+    # bit-identically; tests/test_golden_runs.py pins that) ------------
     flush_workers: int = 1              # procs draining the frozen queue
     compaction_workers: int = 1         # max concurrent compactions
     max_immutable_memtables: int = 0    # frozen-queue depth (0 = workers)

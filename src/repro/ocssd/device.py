@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.errors import GeometryError, MediaError, ReproError
+from repro.errors import MediaError, ReproError
 from repro.nand.chip import FlashChip
 from repro.nand.errors import WearModel
 from repro.nand.timing import NandTiming, timing_for

@@ -23,7 +23,7 @@ Typical use::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.errors import FTLError, OutOfSpaceError, ReproError
@@ -58,9 +58,6 @@ class BlockConfig:
     gc_headroom_chunks: int = 1
     replay_cpu_per_record: float = 2e-6
     wal_pressure_threshold: float = 0.6   # force a checkpoint beyond this
-    #: Vector backend for the page map's bulk snapshot paths:
-    #: "array" (stdlib, default) or "numpy" (errors if not installed).
-    map_backend: str = "array"
     #: GC victim-selection policy (repro.policies): default | greedy |
     #: cost_benefit | age_partitioned.  "default" is greedy, bit-identical
     #: to the historical collector.
@@ -155,7 +152,7 @@ class OXBlock:
         layout = MetadataLayout.build(
             media.geometry, wal_chunk_count=config.wal_chunk_count,
             ckpt_chunks_per_slot=config.ckpt_chunks_per_slot)
-        page_map = PageMap(backend=config.map_backend)
+        page_map = PageMap()
         chunk_table = ChunkTable(media.geometry,
                                  iter(layout.data_chunk_keys()))
         provisioner = Provisioner(
@@ -183,7 +180,6 @@ class OXBlock:
         state = sim.run_until(sim.spawn(recover_proc(
             media, layout,
             replay_cpu_per_record=config.replay_cpu_per_record,
-            map_backend=config.map_backend,
             placement=resolve_placement_policy(config.placement_policy))))
         ftl = cls(media, config, layout, state.page_map, state.chunk_table,
                   state.provisioner, next_txn_id=state.next_txn_id,

@@ -19,7 +19,7 @@ Policies are declared on a :class:`~repro.stack.StackSpec`
 stack gets its own — some policies carry per-stream state).  The
 ``"default"`` alias pins today's behavior: greedy victim order and
 striped placement, bit-identical to the pre-policy collector
-(``scripts/policy_guard.py`` enforces this).
+(the ``perf_macro`` row of ``tests/test_golden_runs.py`` pins this).
 """
 
 from __future__ import annotations

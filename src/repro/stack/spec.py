@@ -19,7 +19,7 @@ field named; structural invariants the lower layers already enforce
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import ReproError
 from repro.nand import CellType
@@ -28,11 +28,9 @@ FTL_FLAVORS = ("oxblock", "eleos", "zns", "lightlsm", "none")
 HOSTS = ("auto", "db", "llama", "wlfc", "none")
 PLACEMENTS = ("horizontal", "vertical")
 QOS_POLICIES = ("partitioned", "shared")
-#: Mirrors repro.ox.ftl.mapping.VECTOR_BACKENDS (kept literal so spec
-#: validation does not import FTL modules).
-VECTOR_BACKENDS = ("array", "numpy")
-#: Mirror of the repro.policies registries (kept literal for the same
-#: reason; tests assert the two stay in sync).
+#: Mirror of the repro.policies registries (kept literal so spec
+#: validation does not import FTL modules; tests assert the two stay in
+#: sync).
 GC_POLICIES = ("default", "greedy", "cost_benefit", "age_partitioned")
 PLACEMENT_POLICIES = ("default", "striped", "stream_partitioned", "hotcold")
 WORKLOADS = ("fill_sequential", "fill_then_read_random",
@@ -227,8 +225,9 @@ class StackSpec:
     #: LSM concurrency plane (host="db"): flush procs draining the
     #: frozen-memtable FIFO and the max concurrent compactions.  1/1 is
     #: the historical single-daemon engine, bit-identically (pinned by
-    #: scripts/lsm_guard.py).  An explicit ``db["flush_workers"]`` /
-    #: ``db["compaction_workers"]`` wins over these.
+    #: the lsm_fill row of tests/test_golden_runs.py).  An explicit
+    #: ``db["flush_workers"]`` / ``db["compaction_workers"]`` wins over
+    #: these.
     lsm_flush_workers: int = 1
     lsm_compaction_workers: int = 1
     #: Dispatch loops for ftl="lightlsm" (§4.2: the paper runs one).
@@ -251,10 +250,6 @@ class StackSpec:
     obs: bool = False
     #: Device write-back cache (bench_ablations turns it off).
     write_back: bool = True
-    #: Bulk-op backend for the FTL page map's snapshot paths: "array"
-    #: (stdlib, default) or "numpy" (build fails with a ReproError when
-    #: numpy is not installed).  Scalar map lookups are unaffected.
-    vector_backend: str = "array"
 
     def __post_init__(self) -> None:
         self.geometry = _sub_spec(GeometrySpec, self.geometry)
@@ -282,9 +277,6 @@ class StackSpec:
         _check(self.qos_policy in QOS_POLICIES,
                f"unknown qos policy {self.qos_policy!r}; "
                f"expected one of {QOS_POLICIES}")
-        _check(self.vector_backend in VECTOR_BACKENDS,
-               f"unknown vector backend {self.vector_backend!r}; "
-               f"expected one of {VECTOR_BACKENDS}")
         _check(self.gc_policy in GC_POLICIES,
                f"unknown gc_policy {self.gc_policy!r}; "
                f"expected one of {GC_POLICIES}")

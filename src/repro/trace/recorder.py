@@ -5,11 +5,11 @@ instrumented call sites — ``DB.put_proc``/``get_proc``/``delete_proc``/
 ``scan_proc`` (the K/V host boundary), the OX-Block synchronous LBA API
 (the raw-block boundary), and ``DbBench.quiesce`` (phase barriers) —
 read ``sim.trace`` at call time and guard with ``is None``, so the
-detached cost is two attribute loads per op (priced by the 2% gate in
-``scripts/trace_guard.py``).  Reading the slot at call time rather than
-caching it at construction means a recorder can attach to an
-already-built stack, which is how ``run_spec(..., trace_out=...)``
-captures without a spec change.
+detached cost is two attribute loads per op (timed by the 2%
+detached-sidecar gate in ``scripts/overhead_gate.py``).  Reading the
+slot at call time rather than caching it at construction means a
+recorder can attach to an already-built stack, which is how
+``run_spec(..., trace_out=...)`` captures without a spec change.
 
 The *boundary* filter keeps traces single-layer: a db-hosted stack
 records ``host`` ops, a bare OX-Block stack records ``block`` ops, and

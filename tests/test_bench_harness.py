@@ -104,3 +104,29 @@ def test_report_pads_to_the_longest_metric_key(tmp_path, monkeypatch):
         str(tmp_path), "pad-stack-test.txt")).read().splitlines()[1:]
     widths = {len(line.partition("=")[0]) for line in lines}
     assert len(widths) == 1
+
+
+def test_profiler_runs_the_bench_workload(tmp_path, monkeypatch, capsys):
+    """``profile_stack.py --bench smoke`` profiles the bench's own fill
+    and read phases: same simulated time and event count as
+    ``run_macro(SMOKE)``."""
+    import importlib.util
+
+    import repro.benchhelpers as bh
+    from benchmarks.bench_perf_trajectory import SMOKE, run_macro
+
+    monkeypatch.setattr(bh, "RESULTS_DIR", str(tmp_path))
+    path = os.path.join(os.path.dirname(BENCH_DIR), "scripts",
+                        "profile_stack.py")
+    spec = importlib.util.spec_from_file_location("profile_stack", path)
+    profiler = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(profiler)
+    assert profiler.main(["--bench", "smoke", "--top", "1"]) == 0
+    printed = dict(line.strip().split(" = ", 1)
+                   for line in capsys.readouterr().out.splitlines()
+                   if " = " in line)
+    bench = run_macro(SMOKE)
+    assert float(printed["sim_seconds"]) == bench["sim_seconds"]
+    assert int(printed["events_processed"]) == bench["events_processed"]
+    assert os.path.exists(os.path.join(str(tmp_path),
+                                       "profile_perf_smoke.txt"))

@@ -1,6 +1,8 @@
 """Unit tests for the modular FTL components: mapping, metadata,
 provisioning, write buffer, serialization."""
 
+import struct
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,7 +10,7 @@ from repro.errors import FTLError, OutOfSpaceError, RecoveryError
 from repro.nand import FlashGeometry
 from repro.ocssd import DeviceGeometry, Ppa
 from repro.ox.ftl import serial
-from repro.ox.ftl.mapping import PageMap
+from repro.ox.ftl.mapping import DENSE_LIMIT, PageMap
 from repro.ox.ftl.metadata import ChunkTable, FtlChunkState
 from repro.ox.ftl.provisioning import MetadataLayout, Provisioner
 from repro.ox.ftl.writebuffer import PAD_LBA, WriteBuffer
@@ -54,6 +56,20 @@ class TestPageMap:
         for lba in (5, 1, 3):
             page_map.update(lba, lba * 10)
         assert page_map.snapshot() == [(1, 10), (3, 30), (5, 50)]
+
+    @pytest.mark.parametrize("lbas", [
+        range(300),                                  # dense prefix
+        [0, 1, 5, 700, 701, 2048],                   # holes
+        [3, 4, DENSE_LIMIT, DENSE_LIMIT + 9],        # sparse overflow
+    ], ids=["dense", "holes", "overflow"])
+    def test_snapshot_packed_matches_struct(self, lbas):
+        page_map = PageMap()
+        for lba in lbas:
+            page_map.update(lba, 3 * lba + 1)
+        flat = page_map.snapshot_flat()
+        assert len(flat) == 2 * len(lbas)
+        assert page_map.snapshot_packed() == struct.pack(
+            "<" + "QQ" * (len(flat) // 2), *flat)
 
 
 class TestChunkTable:

@@ -232,14 +232,15 @@ class TestPipelinedFlush:
         sim.run_until(sim.spawn(run()))
         db.flush()
         db.wait_idle()
-        elapsed = sim.now
         assert all(db.get(key(i)) == b"v" * 200 for i in range(0, 64, 7))
-        return elapsed
+        return sim.now, db.stats.max_flush_queue_depth
 
     def test_pipelined_flush_beats_serial(self):
-        serial = self.bursty_fill(1)
-        pipelined = self.bursty_fill(3)
+        serial, __ = self.bursty_fill(1)
+        pipelined, depth = self.bursty_fill(3)
         assert pipelined < serial
+        # The burst really queued frozen memtables behind the workers.
+        assert depth >= 2
 
 
 # -- compaction admission control --------------------------------------------------
@@ -343,7 +344,8 @@ class TestCompactionExecutor:
         for i in range(40):
             assert db.get(key(i)) == bytes([65 + 5]) * 64
         assert db.stats.compactions > 0
-        assert db.executor.in_flight == 0
+        assert db.executor.max_in_flight >= 2   # real concurrency reached
+        assert db.executor.in_flight == 0       # no lock leaked past idle
         assert db.stats.compaction_timeline   # start/end samples taken
 
 
@@ -568,6 +570,24 @@ class TestWriteDispatcher:
             WriteDispatcher(sim, media, workers=0)
         with pytest.raises(ReproError):
             WriteDispatcher(sim, media, dispatch_cpu=-1.0)
+
+
+class TestDispatchSweep:
+    def test_multi_dispatch_beats_single_thread(self):
+        """§4.2: with dispatch CPU comparable to a block program and
+        concurrent flush/compaction writers, the best of 2 or 4 dispatch
+        workers beats the paper's single dispatch thread by >= 1.2x
+        simulated ops/s on the write-heavy fill."""
+        from tests.test_golden_runs import lsm_fill_spec, run_lsm_fill
+
+        ops = {}
+        for workers in (1, 2, 4):
+            __, result = run_lsm_fill(lsm_fill_spec(
+                ftl_config={"dispatch_cpu": 2e-3},
+                lsm_flush_workers=2, lsm_compaction_workers=2,
+                lightlsm_dispatch_workers=workers))
+            ops[workers] = result.ops_per_sec
+        assert max(ops[2], ops[4]) / ops[1] >= 1.2, ops
 
 
 # -- spec plumbing -----------------------------------------------------------------

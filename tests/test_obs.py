@@ -31,6 +31,7 @@ from repro.obs.report import main as report_main
 from repro.ocssd import DeviceGeometry, OpenChannelSSD
 from repro.ocssd.address import Ppa
 from repro.ox import BlockConfig, MediaManager, OXBlock
+from repro.stack import build_stack
 from repro.units import KIB
 
 SS = 4096
@@ -379,25 +380,34 @@ class TestEndToEndBlock:
             <= set(metrics.namespace("nand"))
 
     def test_chrome_trace_round_trips(self, tmp_path):
-        device, obs, ftl = traced_stack()
-        run_block_workload(device, ftl)
-        path = str(tmp_path / "trace.json")
-        write_chrome_trace(obs.tracer, path)
-        with open(path) as handle:
-            document = json.loads(handle.read())
-        events = document["traceEvents"]
-        complete = [e for e in events if e.get("ph") == "X"]
-        assert len(complete) == len(obs.tracer.finished_spans())
-        assert all(e["dur"] >= 0 for e in complete)
-        assert document["otherData"]["dropped"] == 0
-        # Layer lanes arrive as thread-name metadata.
-        lanes = {e["args"]["name"] for e in events if e.get("ph") == "M"
-                 and e["name"] == "thread_name"}
-        assert {"ftl", "ocssd", "nand"} <= lanes
-        # Rebuilt spans keep the tree: nesting and the sum identity hold.
-        rebuilt = spans_from_chrome(path)
-        assert validate_nesting(rebuilt) == []
-        assert attribute(rebuilt).consistent
+        from benchmarks.bench_perf_trajectory import SMOKE, stack_spec
+
+        # A hand-wired small drive, and the perf-smoke drive as
+        # build_stack wires it from its spec.
+        perf_smoke = build_stack(stack_spec(SMOKE, obs=True))
+        for name, (device, obs, ftl) in (
+                ("small", traced_stack()),
+                ("perf_smoke",
+                 (perf_smoke.device, perf_smoke.obs, perf_smoke.ftl))):
+            run_block_workload(device, ftl)
+            path = str(tmp_path / f"{name}.json")
+            write_chrome_trace(obs.tracer, path)
+            with open(path) as handle:
+                document = json.loads(handle.read())
+            events = document["traceEvents"]
+            complete = [e for e in events if e.get("ph") == "X"]
+            assert len(complete) == len(obs.tracer.finished_spans())
+            assert all(e["dur"] >= 0 for e in complete)
+            assert document["otherData"]["dropped"] == 0
+            # Layer lanes arrive as thread-name metadata.
+            lanes = {e["args"]["name"] for e in events
+                     if e.get("ph") == "M" and e["name"] == "thread_name"}
+            assert {"ftl", "ocssd", "nand"} <= lanes
+            # Rebuilt spans keep the tree: nesting and the sum identity
+            # hold.
+            rebuilt = spans_from_chrome(path)
+            assert validate_nesting(rebuilt) == []
+            assert attribute(rebuilt).consistent
 
     def test_jsonl_round_trips_and_report_prints(self, tmp_path, capsys):
         device, obs, ftl = traced_stack()

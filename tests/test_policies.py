@@ -543,3 +543,18 @@ class TestObservability:
         stall = stack.obs.metrics.histogram("ftl.gc.stall_s")
         assert stall.count > 0
         assert stall.total() > 0.0
+
+
+def test_ablation_smoke_waf():
+    """One zipf-overwrite cell per GC policy at 60% fill plus a
+    write-less-cache row: every bare-FTL policy must report WAF > 1 (the
+    overwrites really drive GC), and wlfc must undercut bare greedy."""
+    from benchmarks.bench_policy_ablation import GC_POLICIES, SMOKE, run_cell
+
+    waf = {policy: run_cell(policy, "zipf", 0.60,
+                            SMOKE["overwrite_ops"])["waf"]
+           for policy in GC_POLICIES}
+    assert all(value > 1.0 for value in waf.values()), waf
+    wlfc = run_cell("greedy", "zipf", 0.60, SMOKE["overwrite_ops"],
+                    host="wlfc")["waf"]
+    assert wlfc < waf["greedy"]

@@ -400,3 +400,13 @@ def test_drr_burst_no_starvation():
     sim.run_until(sim.timeout(0.15))
     assert served["tiny"] > 0
     assert served["heavy"] > served["tiny"]
+
+
+def test_isolation_smoke_keeps_both_bounds():
+    """The noisy-neighbor experiment at smoke op counts: partitioned
+    placement + DRR keeps the victim's read p99 within 2x its solo p99,
+    and the shared FIFO baseline degrades it by at least 4x."""
+    from benchmarks.bench_isolation import SMOKE, run_all, verdicts
+
+    failed = [label for label, ok in verdicts(run_all(SMOKE)) if not ok]
+    assert not failed

@@ -2,6 +2,8 @@
 spec validation, and the module runner."""
 
 import json
+import os
+import re
 
 import pytest
 
@@ -53,6 +55,9 @@ def test_from_dict_rejects_unknown_fields():
         StackSpec.from_dict({"ftl": "lightlsm", "banana": 1})
     with pytest.raises(ReproError, match="unknown field"):
         StackSpec.from_dict({"geometry": {"num_grops": 4}})
+    # A spec still naming the removed backend field fails the same way.
+    with pytest.raises(ReproError, match="unknown field.*vector_backend"):
+        StackSpec.from_dict({"ftl": "oxblock", "vector_backend": "array"})
 
 
 # -- equivalence with the legacy hand-wired assembly --------------------------
@@ -227,3 +232,27 @@ def test_module_runner_rejects_a_bad_spec(tmp_path, capsys):
     spec_path.write_text(json.dumps({"ftl": "pblk"}))
     assert main([str(spec_path)]) == 2
     assert "unknown FTL flavor" in capsys.readouterr().err
+
+
+def test_no_inline_device_wiring():
+    """Every stack outside ``src/repro`` and the unit tests goes through
+    :func:`build_stack`, so specs stay the one source of assembly truth:
+    nothing under benchmarks/, scripts/ or examples/ may construct the
+    device directly."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    inline = re.compile(r"\bOpenChannelSSD\s*\(")
+    violations = []
+    for top in ("benchmarks", "scripts", "examples"):
+        for dirpath, __, filenames in os.walk(os.path.join(root, top)):
+            for filename in sorted(filenames):
+                if not filename.endswith(".py"):
+                    continue
+                path = os.path.join(dirpath, filename)
+                with open(path) as handle:
+                    for line_no, line in enumerate(handle, 1):
+                        if inline.search(line):
+                            violations.append(
+                                f"{os.path.relpath(path, root)}:{line_no}")
+    assert not violations, (
+        f"inline device construction outside repro.stack at {violations}; "
+        f"declare a StackSpec and call build_stack() instead")

@@ -11,6 +11,10 @@ evaluation, builtin profiles, the obs-registry bridge), plus the
 """
 
 import copy
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -87,7 +91,8 @@ def sample_ops():
                 key="k0001"),
         TraceOp(t=0.003, layer="block", kind="write", lba=48, sectors=24,
                 fill=7),
-        TraceOp(t=0.004, layer="cluster", kind="read", key="17"),
+        TraceOp(t=0.004, layer="block", kind="flush"),
+        TraceOp(t=0.005, layer="cluster", kind="read", key="17"),
     ]
 
 
@@ -96,7 +101,7 @@ class TestTraceFormat:
     def test_round_trip(self, tmp_path, suffix):
         path = str(tmp_path / f"t{suffix}")
         meta = write_trace(path, sample_ops(), meta={"spec": {"x": 1}})
-        assert meta["op_count"] == 5
+        assert meta["op_count"] == 6
         got_meta, got_ops = read_trace(path)
         assert got_ops == sample_ops()
         assert got_meta["spec"] == {"x": 1}
@@ -218,9 +223,32 @@ class TestHostCaptureReplay:
         assert replayed["replay_streams"] == 4
         assert replayed["replay_phases"] == 2
         assert replayed["replay_ops"] == 2 * 40 + 2 * 60
+        assert replayed["replay_ops"] == captured["trace_ops"] - 1
         assert replayed["sim_seconds"] == captured["sim_seconds"]
         assert (replayed["events_processed"]
                 == captured["events_processed"])
+
+        # The same replay through the `python -m repro.stack` entry point
+        # in a fresh interpreter (its own hash seed), results to tmp_path.
+        spec_path = tmp_path / "replay.json"
+        spec_path.write_text(json.dumps(replay_spec(trace).to_dict()))
+        entry = ("import runpy, sys, repro.benchhelpers as helpers; "
+                 "helpers.RESULTS_DIR = sys.argv[1]; "
+                 "sys.argv = sys.argv[1:]; "
+                 "runpy.run_module('repro.stack', run_name='__main__')")
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        subprocess.run(
+            [sys.executable, "-c", entry, str(tmp_path), str(spec_path),
+             "--name", "cli-replay"],
+            env={**os.environ, "PYTHONPATH": src},
+            check=True, capture_output=True)
+        cli = json.loads((tmp_path / "cli-replay.json").read_text())
+        cli = cli["metrics"]
+        for key in set(captured) & set(cli) - WALL_KEYS:
+            assert cli[key] == captured[key], key
+        assert cli["sim_seconds"] == captured["sim_seconds"]
+        assert cli["events_processed"] == captured["events_processed"]
 
     def test_replay_across_ftl_personalities(self, tmp_path):
         trace = str(tmp_path / "t.jsonl")
