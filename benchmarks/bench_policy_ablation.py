@@ -70,8 +70,7 @@ def _spec(gc_policy: str, fill: float, *, host: str = "none",
         seed=seed,
         geometry=dict(GEOMETRY),
         ftl="oxblock",
-        ftl_config=dict(FTL_CONFIG),
-        gc_policy=gc_policy,
+        ftl_config=dict(FTL_CONFIG, gc_policy=gc_policy),
         host=host,
         wlfc=wlfc,
         obs=True)

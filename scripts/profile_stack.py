@@ -60,7 +60,6 @@ LAYER_ATTRIBUTION: Tuple[Tuple[str, str], ...] = (
     (os.path.join("repro", "faults") + os.sep, "faults"),
     (os.path.join("repro", "stack") + os.sep, "stack"),
     (os.path.join("repro", "llama") + os.sep, "llama"),
-    (os.path.join("repro", "eleos") + os.sep, "eleos"),
     (os.path.join("repro", "") , "repro.other"),
     (os.path.join("benchmarks", ""), "harness"),
     (os.path.join("scripts", ""), "harness"),
@@ -140,8 +139,8 @@ def main(argv=None) -> int:
         def run() -> dict:
             return run_phases(cfg).flat()
     else:
-        from repro.stack.__main__ import load_spec
         from repro.stack.runner import run_spec
+        from repro.stack.spec import load_spec
         spec = load_spec(args.spec)
         name = spec.name
 

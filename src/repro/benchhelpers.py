@@ -164,11 +164,6 @@ def evaluation_spec(chunks_per_pu: int = 160, **overrides) -> StackSpec:
         **overrides)
 
 
-def evaluation_device(chunks_per_pu: int = 160) -> OpenChannelSSD:
-    """The bare Figure 4 drive (see :func:`evaluation_spec`)."""
-    return build_stack(evaluation_spec(chunks_per_pu, ftl="none")).device
-
-
 def lightlsm_db(placement: PlacementPolicy,
                 chunks_per_pu: int = 160,
                 write_buffer_bytes: int = 4 * MIB,
@@ -180,17 +175,17 @@ def lightlsm_db(placement: PlacementPolicy,
     """The Figure 5/6 stack: RocksDB-lite over LightLSM over the scaled
     evaluation drive, 96 KB blocks, no compression, no block cache.
 
-    The worker counts are the PR-10 concurrency axes; the defaults are
+    The worker counts are the LSM concurrency axes; the defaults are
     the paper's configuration (one flush daemon, one compaction daemon,
     one dispatch thread with free submissions)."""
     stack = build_stack(evaluation_spec(
         chunks_per_pu, ftl="lightlsm", placement=placement.name,
-        ftl_config={"dispatch_cpu": dispatch_cpu},
-        lsm_flush_workers=flush_workers,
-        lsm_compaction_workers=compaction_workers,
-        lightlsm_dispatch_workers=dispatch_workers,
+        ftl_config={"dispatch_workers": dispatch_workers,
+                    "dispatch_cpu": dispatch_cpu},
         db={"block_size": 96 * KIB,
-            "write_buffer_bytes": write_buffer_bytes}))
+            "write_buffer_bytes": write_buffer_bytes,
+            "flush_workers": flush_workers,
+            "compaction_workers": compaction_workers}))
     return stack.device, stack.env, stack.db
 
 

@@ -10,23 +10,12 @@ loses reads (no live replica) exits 1.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from repro.cluster.runner import run_and_report_cluster
 from repro.cluster.spec import ClusterSpec
 from repro.errors import ReproError
-
-
-def load_cluster_spec(path: str) -> ClusterSpec:
-    if path.endswith(".toml"):
-        import tomllib
-        with open(path, "rb") as handle:
-            data = tomllib.load(handle)
-    else:
-        with open(path) as handle:
-            data = json.load(handle)
-    return ClusterSpec.from_dict(data)
+from repro.stack.spec import load_spec
 
 
 def main(argv=None) -> int:
@@ -43,7 +32,7 @@ def main(argv=None) -> int:
                              "trace file (replayable via workload.trace)")
     args = parser.parse_args(argv)
     try:
-        spec = load_cluster_spec(args.spec)
+        spec = load_spec(args.spec, ClusterSpec)
     except ReproError as exc:
         print(f"invalid spec {args.spec}: {exc}", file=sys.stderr)
         return 2

@@ -24,19 +24,13 @@ Specs round-trip through plain dicts exactly like ``StackSpec``:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import List
 
-from repro.errors import ReproError
-from repro.stack.spec import StackSpec, _sub_spec
+from repro.stack.spec import StackSpec, _check, _sub_spec
 from repro.workloads import derive_stream_seed
 
 ROUTERS = ("hash", "range")
-
-
-def _check(condition: bool, message: str) -> None:
-    if not condition:
-        raise ReproError(message)
 
 
 def _default_template() -> StackSpec:
@@ -156,8 +150,4 @@ class ClusterSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ClusterSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        _check(not unknown,
-               f"ClusterSpec: unknown field(s) {sorted(unknown)}")
-        return cls(**data).validate()
+        return _sub_spec(cls, data).validate()

@@ -13,7 +13,7 @@ re-appends its remaining live pages, and frees it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import FTLError, ReproError
@@ -55,12 +55,6 @@ class LlamaEngine:
         # pid -> segment currently holding its persistent image.
         self._page_segment: Dict[int, int] = {}
         self.stats = LlamaStats()
-
-    @property
-    def tenant(self):
-        """The :class:`~repro.qos.TenantContext` of the underlying FTL;
-        None when untagged."""
-        return self.ftl.tenant
 
     # -- write path -----------------------------------------------------------
 
@@ -141,9 +135,6 @@ class LlamaEngine:
             page = DeltaPage.deserialize(pid, blob)
             self._cache[pid] = page
         return page.materialize()
-
-    def contains(self, pid: int) -> bool:
-        return pid in self._cache or pid in self.ftl.vmap
 
     # -- cleaning ----------------------------------------------------------------------
 

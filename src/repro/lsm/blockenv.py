@@ -21,7 +21,7 @@ write-amplification gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List
 
 from repro.errors import OutOfSpaceError, ReproError
 from repro.lsm.env import SSTableHandle, SSTableWriter
@@ -100,12 +100,6 @@ class BlockDevEnv(ManifestEnv):
                                   * ftl.geometry.sectors_per_chunk)
         # ManifestEnv._tables maps
         # id -> (extent, data blocks, meta sectors, meta bytes, level)
-
-    @property
-    def tenant(self):
-        """The :class:`~repro.qos.TenantContext` of the underlying FTL;
-        None when untagged."""
-        return self.ftl.tenant
 
     # -- StorageEnv -----------------------------------------------------------
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import ReproError
-from repro.lsm.backpressure import OK, SLOWDOWN, STOP, BackpressureState
+from repro.lsm.backpressure import SLOWDOWN, STOP, BackpressureState
 from repro.lsm.compaction import (
     CompactionExecutor,
     MemCursor,
@@ -90,14 +90,12 @@ class DB:
             raise ReproError(
                 f"block_size {config.block_size} incompatible with the "
                 f"env's minimum write unit {env.min_block_size}")
-        if config.flush_workers < 1:
-            raise ReproError(
-                f"DBConfig.flush_workers must be >= 1, "
-                f"got {config.flush_workers}")
-        if config.compaction_workers < 1:
-            raise ReproError(
-                f"DBConfig.compaction_workers must be >= 1, "
-                f"got {config.compaction_workers}")
+        for name in ("flush_workers", "compaction_workers"):
+            workers = getattr(config, name)
+            if not isinstance(workers, int) or workers < 1:
+                raise ReproError(
+                    f"DBConfig.{name} must be an int >= 1, "
+                    f"got {workers!r}")
         if config.max_immutable_memtables < 0:
             raise ReproError(
                 f"DBConfig.max_immutable_memtables must be >= 0 "
@@ -721,7 +719,3 @@ class DB:
 
     def level_sizes(self) -> List[int]:
         return [len(tables) for tables in self.levels]
-
-    def total_entries_on_disk(self) -> int:
-        return sum(t.meta.entry_count
-                   for tables in self.levels for t in tables)

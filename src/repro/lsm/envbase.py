@@ -124,9 +124,10 @@ class WriteDispatcher:
 
     def __init__(self, sim, media, name: str = "lsm", workers: int = 1,
                  dispatch_cpu: float = 0.0):
-        if workers < 1:
+        if not isinstance(workers, int) or workers < 1:
             raise ReproError(
-                f"WriteDispatcher: workers must be >= 1, got {workers}")
+                f"{name} dispatcher: dispatch_workers must be an int "
+                f">= 1, got {workers!r}")
         if dispatch_cpu < 0:
             raise ReproError(
                 f"WriteDispatcher: dispatch_cpu must be >= 0, "

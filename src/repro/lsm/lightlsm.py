@@ -156,21 +156,14 @@ class LightLSMEnv(StorageEnv):
 
     def __init__(self, media: MediaManager, placement: PlacementPolicy,
                  chunks_per_sstable: Optional[int] = None,
-                 tenant=None, pus: Optional[List[PuKey]] = None,
                  dispatch_workers: int = 1, dispatch_cpu: float = 0.0):
-        if tenant is not None:
-            media = media.for_tenant(tenant)
         self.media = media
         self.sim = media.sim
         self.geometry = media.geometry
         self.placement = placement
-        # *pus* restricts the environment to a subset of parallel units —
-        # a tenant's partition from repro.qos.plan_placement; default is
-        # the whole device (shared striping).
-        self.all_pus: List[PuKey] = (list(pus) if pus is not None
-                                     else list(self.geometry.iter_pus()))
+        self.all_pus: List[PuKey] = list(self.geometry.iter_pus())
         # Figure 4: SSTable size = #groups x #PUs x chunk size, i.e. one
-        # chunk per PU (of this env's partition) by default.
+        # chunk per PU by default.
         self.chunks_per_sstable = chunks_per_sstable or len(self.all_pus)
         self.free_pool: Dict[PuKey, deque[ChunkKey]] = {
             pu: deque() for pu in self.all_pus}
@@ -185,12 +178,6 @@ class LightLSMEnv(StorageEnv):
         self._dispatcher = WriteDispatcher(
             self.sim, media, name="lightlsm",
             workers=dispatch_workers, dispatch_cpu=dispatch_cpu)
-
-    @property
-    def tenant(self):
-        """The :class:`~repro.qos.TenantContext` this env's I/O is tagged
-        with (from its media manager); None when untagged."""
-        return self.media.tenant
 
     # -- StorageEnv surface -----------------------------------------------------
 

@@ -17,7 +17,7 @@ system, measurable side by side in ``bench_abstraction_spectrum.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List
 
 from repro.errors import OutOfSpaceError, ReproError
 from repro.lsm.env import SSTableHandle, SSTableWriter
@@ -103,12 +103,6 @@ class ZnsEnv(ManifestEnv):
         self.sim = zns.sim
         self.sector_size = zns.geometry.sector_size
         self._free_zones: List[int] = list(range(zns.num_zones))
-
-    @property
-    def tenant(self):
-        """The :class:`~repro.qos.TenantContext` of the underlying
-        namespace; None when untagged."""
-        return self.zns.tenant
 
     # -- StorageEnv -------------------------------------------------------------
 

@@ -13,7 +13,7 @@ management is under the responsibility of the Open-Channel SSD" contract of
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import MediaError, WritePointerError
@@ -228,9 +228,6 @@ class FlashChip:
         return elapsed
 
     # -- inspection ------------------------------------------------------------
-
-    def good_blocks(self) -> list[int]:
-        return [b.index for b in self.blocks if b.state is not BlockState.BAD]
 
     def bad_blocks(self) -> list[int]:
         return [b.index for b in self.blocks if b.state is BlockState.BAD]

@@ -358,14 +358,6 @@ class Chunk:
 
     # -- inspection ---------------------------------------------------------------
 
-    @property
-    def is_writable(self) -> bool:
-        return self.state in (_FREE, _OPEN)
-
-    @property
-    def sectors_free(self) -> int:
-        return self.capacity - self.write_pointer
-
     def memory_bytes(self) -> int:
         """Approximate resident size of the payload store (perf metric)."""
         import sys

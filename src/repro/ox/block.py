@@ -133,22 +133,13 @@ class OXBlock:
                 self.sim.spawn(self._checkpoint_daemon(),
                                name="ckpt-daemon"))
 
-    @property
-    def tenant(self):
-        """The :class:`~repro.qos.TenantContext` this FTL's I/O is tagged
-        with (from its media manager); None for untagged stacks."""
-        return self.media.tenant
-
     # -- lifecycle ---------------------------------------------------------------
 
     @classmethod
-    def format(cls, media: MediaManager, config: BlockConfig,
-               tenant=None) -> "OXBlock":
+    def format(cls, media: MediaManager, config: BlockConfig) -> "OXBlock":
         """Initialize a fresh device: build the layout, write checkpoint #1,
-        start with an empty WAL.  With *tenant*, every command this FTL
-        submits (data, WAL, GC, checkpoints) carries that identity."""
-        if tenant is not None:
-            media = media.for_tenant(tenant)
+        start with an empty WAL.  Every command this FTL submits (data,
+        WAL, GC, checkpoints) carries *media*'s tenant, if it has one."""
         layout = MetadataLayout.build(
             media.geometry, wal_chunk_count=config.wal_chunk_count,
             ckpt_chunks_per_slot=config.ckpt_chunks_per_slot)
@@ -164,14 +155,12 @@ class OXBlock:
         return ftl
 
     @classmethod
-    def recover(cls, media: MediaManager, config: BlockConfig,
-                tenant=None) -> Tuple["OXBlock", RecoveryReport]:
+    def recover(cls, media: MediaManager,
+                config: BlockConfig) -> Tuple["OXBlock", RecoveryReport]:
         """Rebuild an FTL from media after a crash; returns the new
         instance and a :class:`RecoveryReport` whose ``duration`` is the
         simulated recovery time (the Figure 3 metric).  Recovery finishes
         with a fresh checkpoint so the WAL restarts empty."""
-        if tenant is not None:
-            media = media.for_tenant(tenant)
         sim = media.sim
         started = sim.now
         layout = MetadataLayout.build(

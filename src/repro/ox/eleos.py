@@ -29,7 +29,7 @@ Design:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import FTLError, OutOfSpaceError
@@ -105,19 +105,10 @@ class OXEleos:
         self._alive = True
         self.stats = EleosStats()
 
-    @property
-    def tenant(self):
-        """The :class:`~repro.qos.TenantContext` this FTL's I/O is tagged
-        with (from its media manager); None for untagged stacks."""
-        return self.media.tenant
-
     # -- lifecycle ---------------------------------------------------------------
 
     @classmethod
-    def format(cls, media: MediaManager, config: EleosConfig,
-               tenant=None) -> "OXEleos":
-        if tenant is not None:
-            media = media.for_tenant(tenant)
+    def format(cls, media: MediaManager, config: EleosConfig) -> "OXEleos":
         layout = MetadataLayout.build(
             media.geometry, wal_chunk_count=config.wal_chunk_count,
             ckpt_chunks_per_slot=config.ckpt_chunks_per_slot)
@@ -126,12 +117,10 @@ class OXEleos:
         return ftl
 
     @classmethod
-    def recover(cls, media: MediaManager, config: EleosConfig,
-                tenant=None) -> Tuple["OXEleos", RecoveryReport]:
+    def recover(cls, media: MediaManager,
+                config: EleosConfig) -> Tuple["OXEleos", RecoveryReport]:
         """Rebuild from media; see :mod:`repro.ox.ftl.recovery` for the
         replay rules (committed + durable transactions only)."""
-        if tenant is not None:
-            media = media.for_tenant(tenant)
         sim = media.sim
         started = sim.now
         layout = MetadataLayout.build(

@@ -35,7 +35,7 @@ from typing import Callable, List, Optional, Tuple
 from repro.errors import OutOfSpaceError
 from repro.ocssd.address import Ppa
 from repro.ox.ftl.mapping import PageMap
-from repro.ox.ftl.metadata import ChunkTable, FtlChunkInfo, FtlChunkState
+from repro.ox.ftl.metadata import ChunkTable, FtlChunkInfo
 from repro.ox.ftl.provisioning import Provisioner
 from repro.ox.ftl.serial import NO_PPA
 from repro.ox.ftl.wal import WalAppender
@@ -117,18 +117,6 @@ class GarbageCollector:
         """The group's GC candidates, in the victim policy's order."""
         return self.victim_policy.select(
             self.chunk_table.gc_candidates(group), self.chunk_table)
-
-    def pick_victim(self) -> Optional[FtlChunkInfo]:
-        """The victim policy's first choice in the marked group; rotates
-        the marked group when the current one has nothing to collect."""
-        for __ in range(self.geometry.num_groups):
-            victims = self.victims(self.marked_group)
-            if victims:
-                return victims[0]
-            self.marked_group = (self.marked_group + 1) \
-                % self.geometry.num_groups
-            self.stats.group_rotations += 1
-        return None
 
     # -- accounting (GcStats mirrored into the obs registry) ---------------------
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.errors import FTLError
 from repro.ocssd.geometry import DeviceGeometry
@@ -96,10 +96,6 @@ class ChunkTable:
         """The current logical time (monotone, advances on writes)."""
         return self._seq
 
-    def tick(self) -> int:
-        self._seq += 1
-        return self._seq
-
     # -- validity accounting ------------------------------------------------------
 
     def add_valid(self, key: ChunkKey, count: int = 1) -> None:
@@ -137,10 +133,6 @@ class ChunkTable:
         stable no matter how the candidate list was produced."""
         return sorted(self.gc_candidates(group),
                       key=lambda info: (info.valid_count, info.linear))
-
-    def free_count(self) -> int:
-        return sum(1 for info in self._chunks.values()
-                   if info.state is FtlChunkState.FREE)
 
     # -- checkpoint support -------------------------------------------------------------
 

@@ -111,11 +111,6 @@ def decode_ckpt_header(body: bytes) -> Tuple[int, int, int, int]:
     return _CKPT_HEADER.unpack(body)
 
 
-def encode_ckpt_map(entries: Sequence[Tuple[int, int]]) -> bytes:
-    body = _batch("QQ", len(entries)).pack(*chain.from_iterable(entries))
-    return encode_record(REC_CKPT_MAP, body)
-
-
 def decode_ckpt_map(body: bytes) -> List[Tuple[int, int]]:
     return list(_CKPT_MAP_ENTRY.iter_unpack(body))
 
@@ -260,31 +255,11 @@ def split_map_update(txn_id: int, entries: Sequence[Tuple[int, int, int]],
             for i in range(0, len(entries), per_record)]
 
 
-def split_ckpt_map(entries: Sequence[Tuple[int, int]],
-                   sector_size: int) -> List[bytes]:
-    capacity = sector_size - _FRAME_HEADER.size - _RECORD_HEADER.size
-    per_record = max(1, capacity // _CKPT_MAP_ENTRY.size)
-    return [encode_ckpt_map(entries[i:i + per_record])
-            for i in range(0, len(entries), per_record)]
-
-
-def split_ckpt_map_flat(flat: Sequence[int], sector_size: int) -> List[bytes]:
-    """:func:`split_ckpt_map` over a pre-flattened ``[lba, ppa, ...]``
-    sequence — the checkpoint hot path feeds the packer directly instead
-    of building (and re-flattening) one tuple per map entry."""
-    capacity = sector_size - _FRAME_HEADER.size - _RECORD_HEADER.size
-    step = max(1, capacity // _CKPT_MAP_ENTRY.size) * 2
-    return [encode_record(REC_CKPT_MAP,
-                          _batch("QQ", min(step, len(flat) - i) // 2)
-                          .pack(*flat[i:i + step]))
-            for i in range(0, len(flat), step)]
-
-
 def split_ckpt_map_packed(packed: bytes, sector_size: int) -> List[bytes]:
-    """:func:`split_ckpt_map_flat` over pre-packed ``<QQ`` entry bytes
-    (:meth:`PageMap.snapshot_packed`) — record bodies are byte slices of
-    the blob, so the checkpoint hot path never materializes per-entry
-    integers at all.  Byte-identical to the flat variant."""
+    """Encode the checkpoint's page map, given as pre-packed ``<QQ``
+    entry bytes (:meth:`PageMap.snapshot_packed`), as several records.
+    Record bodies are byte slices of the blob, so the checkpoint hot
+    path never materializes per-entry integers at all."""
     capacity = sector_size - _FRAME_HEADER.size - _RECORD_HEADER.size
     step = max(1, capacity // _CKPT_MAP_ENTRY.size) * _CKPT_MAP_ENTRY.size
     return [encode_record(REC_CKPT_MAP, packed[i:i + step])

@@ -5,13 +5,16 @@ abstracting various forms of underlying storage media under a common
 representation of the physical address space."  Here the one media type is
 the simulated Open-Channel SSD; the media manager exposes a narrow,
 FTL-facing API (vector I/O, reset, copy, flush, chunk scans, notification
-drain) plus both generator (in-simulation) and synchronous entry points.
+drain) as generator (in-simulation) entry points, plus a synchronous
+``flush``.  Synchronous I/O goes through :class:`OpenChannelSSD` itself
+(``write``/``read``/``reset``/``copy``/``execute``).
 
 A media manager optionally carries a :class:`~repro.qos.TenantContext`
-(see :meth:`MediaManager.for_tenant`): every command it submits is tagged
-with that tenant, which is how an FTL instance owned by one tenant feeds
-tenant identity into the device's QoS scheduler and per-tenant metrics
-without any per-call plumbing in the FTL code.
+(``MediaManager(device, tenant)``, or set ``media.tenant`` before the
+I/O): every command it submits is tagged with that tenant, which is how
+an FTL instance owned by one tenant feeds tenant identity into the
+device's QoS scheduler and per-tenant metrics without any per-call
+plumbing in the FTL code.
 """
 
 from __future__ import annotations
@@ -42,10 +45,6 @@ class MediaManager:
         self.device = device
         self.sim = device.sim
         self.tenant = tenant
-
-    def for_tenant(self, tenant) -> "MediaManager":
-        """A view of the same device whose commands belong to *tenant*."""
-        return MediaManager(self.device, tenant=tenant)
 
     @property
     def geometry(self) -> DeviceGeometry:
@@ -88,25 +87,6 @@ class MediaManager:
 
     def flush_proc(self):
         return self.device.flush_proc()
-
-    # -- synchronous API ----------------------------------------------------------
-
-    def write(self, ppas: List[Ppa], data: List[Optional[bytes]],
-              oob: Optional[List[object]] = None,
-              fua: bool = False) -> Completion:
-        return self.device.execute(VectorWrite(
-            ppas=ppas, data=data, oob=oob, fua=fua, tenant=self.tenant))
-
-    def read(self, ppas: List[Ppa]) -> Completion:
-        return self.device.execute(VectorRead(ppas=ppas, tenant=self.tenant))
-
-    def reset(self, ppa: Ppa) -> Completion:
-        return self.device.execute(ChunkReset(ppa=ppa, tenant=self.tenant))
-
-    def copy(self, src: List[Ppa], dst: List[Ppa],
-             dst_oob: Optional[List[object]] = None) -> Completion:
-        return self.device.execute(VectorCopy(
-            src=src, dst=dst, dst_oob=dst_oob, tenant=self.tenant))
 
     def flush(self) -> None:
         self.device.flush()

@@ -12,9 +12,10 @@ host that reduces flash writes *above* the FTL:
   see :mod:`repro.policies.placement`;
 * :class:`WriteLessCache` — see :mod:`repro.policies.wlfc`.
 
-Policies are declared on a :class:`~repro.stack.StackSpec`
-(``gc_policy``, ``placement_policy``, ``host="wlfc"``) or directly in
-``ftl_config``; :func:`resolve_victim_policy` /
+Policies are :class:`~repro.ox.BlockConfig` keys, declared on a
+:class:`~repro.stack.StackSpec` as ``ftl_config={"gc_policy": ...,
+"placement_policy": ...}``; the cache is ``host="wlfc"`` with its
+``wlfc`` dict.  :func:`resolve_victim_policy` /
 :func:`resolve_placement_policy` turn names into fresh instances (every
 stack gets its own — some policies carry per-stream state).  The
 ``"default"`` alias pins today's behavior: greedy victim order and

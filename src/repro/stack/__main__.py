@@ -9,23 +9,11 @@ success; spec errors print the offending field and exit 2.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from repro.errors import ReproError
 from repro.stack.runner import run_and_report
-from repro.stack.spec import StackSpec
-
-
-def load_spec(path: str) -> StackSpec:
-    if path.endswith(".toml"):
-        import tomllib
-        with open(path, "rb") as handle:
-            data = tomllib.load(handle)
-    else:
-        with open(path) as handle:
-            data = json.load(handle)
-    return StackSpec.from_dict(data)
+from repro.stack.spec import load_spec
 
 
 def main(argv=None) -> int:

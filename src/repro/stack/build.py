@@ -193,10 +193,7 @@ def build_stack(spec: StackSpec) -> Stack:
     host = spec.resolved_host
 
     if spec.ftl == "oxblock":
-        ftl_config = dict(spec.ftl_config)
-        ftl_config.setdefault("gc_policy", spec.gc_policy)
-        ftl_config.setdefault("placement_policy", spec.placement_policy)
-        config = _config_from(BlockConfig, ftl_config, "ftl_config")
+        config = _config_from(BlockConfig, spec.ftl_config, "ftl_config")
         stack.ftl = OXBlock.format(stack.media, config)
         if host == "wlfc":
             stack.wlfc = WriteLessCache(
@@ -221,24 +218,17 @@ def build_stack(spec: StackSpec) -> Stack:
         placement = (HorizontalPlacement()
                      if spec.placement == "horizontal"
                      else VerticalPlacement())
-        kwargs = dict(spec.ftl_config)
         allowed = {"chunks_per_sstable", "dispatch_workers",
                    "dispatch_cpu"}
-        unknown = set(kwargs) - allowed
+        unknown = set(spec.ftl_config) - allowed
         if unknown:
             raise ReproError(
                 f"ftl_config: lightlsm accepts only {sorted(allowed)}, "
                 f"got {sorted(unknown)}")
-        kwargs.setdefault("dispatch_workers",
-                          spec.lightlsm_dispatch_workers)
-        stack.env = LightLSMEnv(stack.media, placement, **kwargs)
+        stack.env = LightLSMEnv(stack.media, placement, **spec.ftl_config)
     # spec.ftl == "none": a raw device stack (isolation/landscape shapes).
 
     if host == "db" and stack.env is not None:
-        db_kwargs = dict(spec.db)
-        db_kwargs.setdefault("flush_workers", spec.lsm_flush_workers)
-        db_kwargs.setdefault("compaction_workers",
-                             spec.lsm_compaction_workers)
-        db_config = _config_from(DBConfig, db_kwargs, "db")
-        stack.db = DB(stack.env, db_config, device.sim)
+        stack.db = DB(stack.env, _config_from(DBConfig, spec.db, "db"),
+                      device.sim)
     return stack

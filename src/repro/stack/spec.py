@@ -18,6 +18,7 @@ field named; structural invariants the lower layers already enforce
 
 from __future__ import annotations
 
+import json
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional
 
@@ -28,11 +29,6 @@ FTL_FLAVORS = ("oxblock", "eleos", "zns", "lightlsm", "none")
 HOSTS = ("auto", "db", "llama", "wlfc", "none")
 PLACEMENTS = ("horizontal", "vertical")
 QOS_POLICIES = ("partitioned", "shared")
-#: Mirror of the repro.policies registries (kept literal so spec
-#: validation does not import FTL modules; tests assert the two stay in
-#: sync).
-GC_POLICIES = ("default", "greedy", "cost_benefit", "age_partitioned")
-PLACEMENT_POLICIES = ("default", "striped", "stream_partitioned", "hotcold")
 WORKLOADS = ("fill_sequential", "fill_then_read_random",
              "fill_then_read_sequential", "raw_fill_read", "trace", "none")
 PACINGS = ("afap", "recorded")
@@ -157,6 +153,15 @@ class WorkloadSpec:
         _check(self.pacing in PACINGS,
                f"workload.pacing must be one of {PACINGS}, "
                f"got {self.pacing!r}")
+        # Reads draw from what the fill wrote, so the fill is never
+        # empty; 0 read_ops_per_client means "same as ops_per_client".
+        for name, floor in (("ops_per_client", 1),
+                            ("read_ops_per_client", 0),
+                            ("fill_ops", 1), ("read_ops", 0)):
+            value = getattr(self, name)
+            _check(isinstance(value, int) and value >= floor,
+                   f"workload.{name} must be an int >= {floor}, "
+                   f"got {value!r}")
         if self.kind == "trace":
             _check(bool(self.trace),
                    "workload.trace must name a trace file when "
@@ -205,34 +210,22 @@ class StackSpec:
     #: FTL flavor: oxblock | eleos | zns | lightlsm | none (raw device).
     ftl: str = "lightlsm"
     #: Kwargs for the flavor's config dataclass (BlockConfig /
-    #: EleosConfig / ZnsConfig; lightlsm: ``chunks_per_sstable``).
+    #: EleosConfig / ZnsConfig; lightlsm: ``chunks_per_sstable``,
+    #: ``dispatch_workers``, ``dispatch_cpu``).  OX-Block's GC victim
+    #: and PU placement policies (repro.policies) are the BlockConfig
+    #: keys ``gc_policy`` / ``placement_policy``.
     ftl_config: Dict[str, object] = field(default_factory=dict)
     #: LightLSM data placement (Figures 5/6): horizontal | vertical.
     placement: str = "horizontal"
-    #: GC victim selection for ftl="oxblock" (repro.policies):
-    #: default | greedy | cost_benefit | age_partitioned.
-    gc_policy: str = "default"
-    #: PU allocation order for ftl="oxblock" (repro.policies):
-    #: default | striped | stream_partitioned | hotcold.
-    placement_policy: str = "default"
     #: Host above the FTL: auto | db | llama | wlfc | none.  "wlfc"
     #: layers the write-less cache over a bare oxblock LBA API.
     host: str = "auto"
     #: Kwargs for :class:`repro.policies.WlfcConfig` (host="wlfc").
     wlfc: Dict[str, object] = field(default_factory=dict)
-    #: Kwargs for :class:`repro.lsm.DBConfig` (host="db").
+    #: Kwargs for :class:`repro.lsm.DBConfig` (host="db"), including
+    #: the LSM concurrency plane ``flush_workers`` /
+    #: ``compaction_workers``.
     db: Dict[str, object] = field(default_factory=dict)
-    #: LSM concurrency plane (host="db"): flush procs draining the
-    #: frozen-memtable FIFO and the max concurrent compactions.  1/1 is
-    #: the historical single-daemon engine, bit-identically (pinned by
-    #: the lsm_fill row of tests/test_golden_runs.py).  An explicit
-    #: ``db["flush_workers"]`` / ``db["compaction_workers"]`` wins over
-    #: these.
-    lsm_flush_workers: int = 1
-    lsm_compaction_workers: int = 1
-    #: Dispatch loops for ftl="lightlsm" (§4.2: the paper runs one).
-    #: An explicit ``ftl_config["dispatch_workers"]`` wins.
-    lightlsm_dispatch_workers: int = 1
     #: Kwargs for :class:`repro.llama.LlamaConfig` (host="llama").
     llama: Dict[str, object] = field(default_factory=dict)
     #: host="db" over oxblock only: extent size for BlockDevEnv, in
@@ -277,36 +270,9 @@ class StackSpec:
         _check(self.qos_policy in QOS_POLICIES,
                f"unknown qos policy {self.qos_policy!r}; "
                f"expected one of {QOS_POLICIES}")
-        _check(self.gc_policy in GC_POLICIES,
-               f"unknown gc_policy {self.gc_policy!r}; "
-               f"expected one of {GC_POLICIES}")
-        _check(self.placement_policy in PLACEMENT_POLICIES,
-               f"unknown placement_policy {self.placement_policy!r}; "
-               f"expected one of {PLACEMENT_POLICIES}")
-        if self.gc_policy != "default":
-            _check(self.ftl == "oxblock",
-                   f"gc_policy {self.gc_policy!r} needs ftl 'oxblock', "
-                   f"not {self.ftl!r}")
-        if self.placement_policy != "default":
-            _check(self.ftl == "oxblock",
-                   f"placement_policy {self.placement_policy!r} needs "
-                   f"ftl 'oxblock', not {self.ftl!r}")
-        for name in ("lsm_flush_workers", "lsm_compaction_workers",
-                     "lightlsm_dispatch_workers"):
-            _check(isinstance(getattr(self, name), int)
-                   and getattr(self, name) >= 1,
-                   f"{name} must be an int >= 1, "
-                   f"got {getattr(self, name)!r}")
-        if self.lightlsm_dispatch_workers != 1:
-            _check(self.ftl == "lightlsm",
-                   f"lightlsm_dispatch_workers="
-                   f"{self.lightlsm_dispatch_workers} needs ftl "
-                   f"'lightlsm', not {self.ftl!r}")
-        if (self.lsm_flush_workers != 1
-                or self.lsm_compaction_workers != 1):
-            _check(self.resolved_host == "db",
-                   f"lsm_flush_workers/lsm_compaction_workers need the "
-                   f"'db' host, not {self.resolved_host!r}")
+        _check(isinstance(self.table_chunks, int) and self.table_chunks >= 0,
+               f"table_chunks must be an int >= 0, "
+               f"got {self.table_chunks!r}")
         self.geometry.validate()
         for tenant in self.tenants:
             tenant.validate()
@@ -330,6 +296,16 @@ class StackSpec:
             _check(self.ftl == "oxblock",
                    f"host 'wlfc' caches the oxblock sync LBA API, "
                    f"not {self.ftl!r}")
+        # Settings only one host reads: anything else would be silently
+        # ignored, so a spec carrying them is misconfigured.
+        for name in ("db", "llama", "wlfc"):
+            _check(not getattr(self, name) or host == name,
+                   f"{name} is read only by host {name!r}; this spec "
+                   f"resolves to host {host!r} (ftl {self.ftl!r})")
+        _check(not self.table_chunks
+               or (host == "db" and self.ftl == "oxblock"),
+               f"table_chunks is read only by host 'db' over ftl "
+               f"'oxblock', not host {host!r} over ftl {self.ftl!r}")
         return self
 
     @property
@@ -364,8 +340,18 @@ class StackSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "StackSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        _check(not unknown,
-               f"StackSpec: unknown field(s) {sorted(unknown)}")
-        return cls(**data).validate()
+        return _sub_spec(cls, data).validate()
+
+
+def load_spec(path: str, cls=StackSpec):
+    """Load and validate a *cls* spec (:class:`StackSpec` or
+    :class:`repro.cluster.ClusterSpec`) from a JSON file, or from TOML
+    when *path* ends in ``.toml``."""
+    if path.endswith(".toml"):
+        import tomllib
+        with open(path, "rb") as handle:
+            data = tomllib.load(handle)
+    else:
+        with open(path) as handle:
+            data = json.load(handle)
+    return cls.from_dict(data)

@@ -19,8 +19,8 @@ chunk goes offline is retired with its notification surfaced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from repro.errors import ZoneError
 from repro.ocssd.address import Ppa
@@ -53,10 +53,7 @@ class OXZns:
     """A ZNS namespace over one Open-Channel SSD."""
 
     def __init__(self, media: MediaManager,
-                 config: Optional[ZnsConfig] = None,
-                 tenant=None):
-        if tenant is not None:
-            media = media.for_tenant(tenant)
+                 config: Optional[ZnsConfig] = None):
         self.media = media
         self.sim = media.sim
         self.geometry = media.geometry
@@ -73,12 +70,6 @@ class OXZns:
         # unless a hub was attached before this FTL was built.
         self.obs = media.sim.obs
         self._build_zones()
-
-    @property
-    def tenant(self):
-        """The :class:`~repro.qos.TenantContext` this namespace's I/O is
-        tagged with (from its media manager); None when untagged."""
-        return self.media.tenant
 
     def _build_zones(self) -> None:
         """Carve the whole device into zones, group by group; each zone's

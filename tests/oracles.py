@@ -35,9 +35,6 @@ class HeapqSimulator(Simulator):
         self._sequence += 1
         heapq.heappush(self._queue, (when, self._sequence, entry))
 
-    def queue_empty(self) -> bool:
-        return not self._queue
-
     def step(self) -> None:
         when, __, entry = heapq.heappop(self._queue)
         self.now = when

@@ -7,7 +7,6 @@ from repro.errors import MediaError, ReproError
 from repro.lsm import DB, DBConfig, DbBench, MemEnv
 from repro.nand import FlashGeometry
 from repro.ocssd import (
-    CommandStatus,
     DeviceGeometry,
     OpenChannelSSD,
     Ppa,
@@ -87,11 +86,11 @@ class TestMediaManager:
         device, media = self.make()
         ws = media.geometry.ws_min
         ppas = [Ppa(0, 0, 0, s) for s in range(ws)]
-        completion = media.write(ppas, [b"m" * 64] * ws)
+        completion = device.write(ppas, [b"m" * 64] * ws)
         assert completion.ok
-        assert media.read(ppas[:2]).data[1] == b"m" * 64
+        assert device.read(ppas[:2]).data[1] == b"m" * 64
         media.flush()
-        assert media.reset(Ppa(0, 1, 0, 0)).ok
+        assert device.reset(Ppa(0, 1, 0, 0)).ok
 
     def test_scan_chunks_counts(self):
         device, media = self.make()
@@ -99,7 +98,7 @@ class TestMediaManager:
 
     def test_require_ok_raises_with_context(self):
         device, media = self.make()
-        completion = media.read([Ppa(0, 0, 0, 0)])   # nothing written
+        completion = device.read([Ppa(0, 0, 0, 0)])   # nothing written
         with pytest.raises(MediaError, match="probe"):
             media.require_ok(completion, "probe")
 

@@ -18,10 +18,9 @@ import os
 import pytest
 
 from benchmarks.bench_perf_trajectory import MACRO, run_macro
-from repro.cluster import run_cluster
-from repro.cluster.__main__ import load_cluster_spec
+from repro.cluster import ClusterSpec, run_cluster
 from repro.stack import StackSpec, build_stack, run_spec
-from repro.stack.__main__ import load_spec
+from repro.stack.spec import load_spec
 from repro.units import KIB, MIB
 
 SPEC_DIR = os.path.join(os.path.dirname(os.path.dirname(
@@ -76,8 +75,8 @@ def lightlsm_smoke() -> dict:
 
 
 def cluster_smoke() -> dict:
-    return run_cluster(load_cluster_spec(
-        os.path.join(SPEC_DIR, "cluster_smoke.json"))).merged
+    return run_cluster(load_spec(
+        os.path.join(SPEC_DIR, "cluster_smoke.json"), ClusterSpec)).merged
 
 
 #: name -> (run, pinned fingerprint).

@@ -582,10 +582,10 @@ class TestDispatchSweep:
 
         ops = {}
         for workers in (1, 2, 4):
-            __, result = run_lsm_fill(lsm_fill_spec(
-                ftl_config={"dispatch_cpu": 2e-3},
-                lsm_flush_workers=2, lsm_compaction_workers=2,
-                lightlsm_dispatch_workers=workers))
+            spec = lsm_fill_spec(ftl_config={"dispatch_cpu": 2e-3,
+                                             "dispatch_workers": workers})
+            spec.db.update(flush_workers=2, compaction_workers=2)
+            __, result = run_lsm_fill(spec)
             ops[workers] = result.ops_per_sec
         assert max(ops[2], ops[4]) / ops[1] >= 1.2, ops
 
@@ -595,17 +595,30 @@ class TestDispatchSweep:
 
 class TestSpecValidation:
     def test_worker_fields_validated(self):
-        from repro.stack import StackSpec
-        with pytest.raises(ReproError):
-            StackSpec(lsm_flush_workers=0).validate()
-        with pytest.raises(ReproError):
+        from repro.stack import StackSpec, build_stack
+        from repro.units import KIB
+        small = {"num_groups": 2, "pus_per_group": 2, "chunks_per_pu": 8,
+                 "pages_per_block": 6}
+        block = {"block_size": 96 * KIB}
+        for db, name in (({"flush_workers": 0}, "flush_workers"),
+                         ({"compaction_workers": 1.5},
+                          "compaction_workers")):
+            with pytest.raises(ReproError, match=name):
+                build_stack(StackSpec(geometry=small, db=dict(block, **db)))
+        with pytest.raises(ReproError, match="dispatch_workers"):
+            build_stack(StackSpec(geometry=small, db=block,
+                                  ftl_config={"dispatch_workers": 0}))
+        # The worker keys of a host or FTL the spec does not build are
+        # rejected, not ignored.
+        with pytest.raises(ReproError, match="db"):
             StackSpec(ftl="oxblock", host="none",
-                      lsm_compaction_workers=2).validate()
-        with pytest.raises(ReproError):
-            StackSpec(ftl="oxblock", host="none",
-                      lightlsm_dispatch_workers=2).validate()
-        StackSpec(lsm_flush_workers=2, lsm_compaction_workers=2,
-                  lightlsm_dispatch_workers=2).validate()
+                      db={"compaction_workers": 2}).validate()
+        with pytest.raises(ReproError, match="dispatch_workers"):
+            build_stack(StackSpec(ftl="oxblock", host="none", geometry=small,
+                                  ftl_config={"dispatch_workers": 2}))
+        build_stack(StackSpec(
+            geometry=small, ftl_config={"dispatch_workers": 2},
+            db=dict(block, flush_workers=2, compaction_workers=2)))
 
     def test_build_wires_workers(self):
         from repro.stack import StackSpec, build_stack
@@ -614,9 +627,9 @@ class TestSpecValidation:
             ftl="lightlsm",
             geometry={"num_groups": 2, "pus_per_group": 2,
                       "chunks_per_pu": 8, "pages_per_block": 6},
-            db={"block_size": 96 * KIB},
-            lsm_flush_workers=2, lsm_compaction_workers=3,
-            lightlsm_dispatch_workers=2))
+            ftl_config={"dispatch_workers": 2},
+            db={"block_size": 96 * KIB, "flush_workers": 2,
+                "compaction_workers": 3}))
         assert stack.db.config.flush_workers == 2
         assert stack.db.config.compaction_workers == 3
         assert stack.db.executor.workers == 3

@@ -12,7 +12,6 @@ from repro.ox import BlockConfig, MediaManager, OXBlock
 from repro.ox.ftl.metadata import ChunkTable, FtlChunkState
 from repro.policies import (
     PLACEMENT_POLICIES,
-    VICTIM_POLICIES,
     AgePartitionedVictimPolicy,
     CostBenefitVictimPolicy,
     GreedyVictimPolicy,
@@ -25,7 +24,6 @@ from repro.policies import (
 )
 from repro.stack import StackSpec, build_stack
 from repro.stack.runner import run_spec
-from repro.stack import spec as spec_module
 
 SS = 4096
 
@@ -131,10 +129,6 @@ class TestVictimOrdering:
         with pytest.raises(ReproError) as excinfo:
             resolve_placement_policy("diagonal")
         assert "stream_partitioned" in str(excinfo.value)
-
-    def test_spec_literals_mirror_registries(self):
-        assert set(spec_module.GC_POLICIES) == set(VICTIM_POLICIES)
-        assert set(spec_module.PLACEMENT_POLICIES) == set(PLACEMENT_POLICIES)
 
 
 def _invalidate(ftl, span_units, unit, pattern, ops, seed=7):
@@ -250,7 +244,7 @@ class TestPlacementPolicies:
             geometry={"num_groups": 4, "pus_per_group": 2,
                       "chunks_per_pu": 8, "pages_per_block": 6},
             ftl="oxblock", host=host,
-            placement_policy=placement_policy,
+            ftl_config={"placement_policy": placement_policy},
             workload={"kind": "raw_fill_read", "fill_ops": 40,
                       "read_ops": 60})
 
@@ -407,37 +401,48 @@ class TestWriteLessCache:
             cache.write(0, b"")
 
 
+#: A small drive, so the build_stack rejections below stay cheap.
+SMALL = {"num_groups": 2, "pus_per_group": 2, "chunks_per_pu": 8,
+         "pages_per_block": 6}
+
+
 class TestStackSpecWiring:
     def test_unknown_policy_names_rejected_with_menu(self):
         with pytest.raises(ReproError) as excinfo:
-            StackSpec(ftl="oxblock", gc_policy="fifo").validate()
+            build_stack(StackSpec(ftl="oxblock", geometry=SMALL,
+                                  ftl_config={"gc_policy": "fifo"}))
         message = str(excinfo.value)
         assert "gc_policy" in message and "cost_benefit" in message
         with pytest.raises(ReproError) as excinfo:
-            StackSpec(ftl="oxblock", placement_policy="fifo").validate()
+            build_stack(StackSpec(ftl="oxblock", geometry=SMALL,
+                                  ftl_config={"placement_policy": "fifo"}))
         message = str(excinfo.value)
         assert "placement_policy" in message and "hotcold" in message
 
     def test_policies_require_oxblock(self):
-        with pytest.raises(ReproError):
-            StackSpec(ftl="lightlsm", gc_policy="greedy").validate()
-        with pytest.raises(ReproError):
-            StackSpec(ftl="zns", placement_policy="striped").validate()
+        with pytest.raises(ReproError, match="gc_policy"):
+            build_stack(StackSpec(ftl="lightlsm", geometry=SMALL,
+                                  ftl_config={"gc_policy": "greedy"}))
+        with pytest.raises(ReproError, match="placement_policy"):
+            build_stack(StackSpec(
+                ftl="zns", geometry=SMALL,
+                ftl_config={"placement_policy": "striped"}))
         with pytest.raises(ReproError):
             StackSpec(ftl="eleos", host="wlfc").validate()
 
     def test_spec_round_trips_policy_fields(self):
-        spec = StackSpec(ftl="oxblock", gc_policy="cost_benefit",
-                         placement_policy="hotcold", host="wlfc",
-                         wlfc={"cache_sectors": 128})
+        policies = {"gc_policy": "cost_benefit",
+                    "placement_policy": "hotcold"}
+        spec = StackSpec(ftl="oxblock", ftl_config=dict(policies),
+                         host="wlfc", wlfc={"cache_sectors": 128})
         clone = StackSpec.from_dict(spec.to_dict())
-        assert clone.gc_policy == "cost_benefit"
-        assert clone.placement_policy == "hotcold"
+        assert clone.ftl_config == policies
         assert clone.wlfc == {"cache_sectors": 128}
 
     def test_build_wires_gc_policy(self):
         stack = build_stack(StackSpec(
-            ftl="oxblock", gc_policy="cost_benefit", host="none"))
+            ftl="oxblock", ftl_config={"gc_policy": "cost_benefit"},
+            host="none"))
         assert stack.ftl.gc.victim_policy.name == "cost_benefit"
 
     def test_build_wires_wlfc_host(self):
@@ -455,12 +460,6 @@ class TestStackSpecWiring:
         assert metrics["wlfc_host_sectors"] > 0
         assert metrics["wlfc_flash_sectors"] <= metrics["wlfc_host_sectors"]
         assert "wlfc_write_reduction" in metrics
-
-    def test_ftl_config_override_beats_spec_passthrough(self):
-        stack = build_stack(StackSpec(
-            ftl="oxblock", gc_policy="default",
-            ftl_config={"gc_policy": "age_partitioned"}, host="none"))
-        assert stack.ftl.gc.victim_policy.name == "age_partitioned"
 
 
 class TestObservability:

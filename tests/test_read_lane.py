@@ -15,7 +15,7 @@ from repro.nand import FlashGeometry
 from repro.obs import Obs
 from repro.ocssd import DeviceGeometry, OpenChannelSSD
 from repro.ocssd.address import Ppa
-from repro.ocssd.commands import CommandStatus
+from repro.ocssd.commands import CommandStatus, VectorWrite
 from repro.ox import MediaManager
 from repro.qos import QosScheduler, TenantContext
 
@@ -47,8 +47,9 @@ def make_stack(obs: bool = False, qos: bool = False):
         if index == FLUSHED_UNITS:
             media.flush()
         sectors = range(index * unit, (index + 1) * unit)
-        completion = media.write([Ppa(*CHUNK, s) for s in sectors],
-                                 [stamp(s) for s in sectors])
+        completion = device.execute(VectorWrite(
+            ppas=[Ppa(*CHUNK, s) for s in sectors],
+            data=[stamp(s) for s in sectors], tenant=media.tenant))
         assert completion.ok
     return device, media, hub
 

@@ -55,9 +55,47 @@ def test_from_dict_rejects_unknown_fields():
         StackSpec.from_dict({"ftl": "lightlsm", "banana": 1})
     with pytest.raises(ReproError, match="unknown field"):
         StackSpec.from_dict({"geometry": {"num_grops": 4}})
-    # A spec still naming the removed backend field fails the same way.
-    with pytest.raises(ReproError, match="unknown field.*vector_backend"):
-        StackSpec.from_dict({"ftl": "oxblock", "vector_backend": "array"})
+    # A spec still naming a removed field fails the same way: the numpy
+    # backend, and the aliases of ftl_config / db keys.
+    for name, value in (("vector_backend", "array"),
+                        ("gc_policy", "greedy"),
+                        ("placement_policy", "striped"),
+                        ("lsm_flush_workers", 2),
+                        ("lsm_compaction_workers", 2),
+                        ("lightlsm_dispatch_workers", 2)):
+        with pytest.raises(ReproError, match=f"unknown field.*{name}"):
+            StackSpec.from_dict({"ftl": "oxblock", name: value})
+
+
+@pytest.mark.parametrize("spec, field", [
+    (dict(ftl="eleos", db={"block_size": 4096}), "db"),
+    (dict(ftl="oxblock", llama={"cache_capacity": 8}), "llama"),
+    (dict(ftl="oxblock", host="none", wlfc={"cache_sectors": 8}), "wlfc"),
+    (dict(ftl="lightlsm", table_chunks=8), "table_chunks"),
+], ids=["db_on_eleos", "llama_on_oxblock", "wlfc_on_host_none",
+        "table_chunks_on_lightlsm"])
+def test_host_settings_rejected_where_no_host_reads_them(spec, field):
+    with pytest.raises(ReproError, match=field):
+        StackSpec(**spec).validate()
+
+
+@pytest.mark.parametrize("workload, field", [
+    ({"kind": "raw_fill_read", "fill_ops": 0, "read_ops": 5}, "fill_ops"),
+    ({"kind": "raw_fill_read", "fill_ops": -1}, "fill_ops"),
+    ({"kind": "raw_fill_read", "read_ops": -1}, "read_ops"),
+    ({"ops_per_client": 0}, "ops_per_client"),
+    ({"read_ops_per_client": -1}, "read_ops_per_client"),
+    ({"kind": "raw_fill_read", "fill_ops": "40"}, "fill_ops"),
+], ids=["fill_ops_zero", "fill_ops_negative", "read_ops",
+        "ops_per_client", "read_ops_per_client", "fill_ops_string"])
+def test_workload_op_counts_validated(workload, field):
+    with pytest.raises(ReproError, match=f"workload.{field} "):
+        StackSpec.from_dict({"ftl": "oxblock", "workload": workload})
+
+
+def test_table_chunks_validated():
+    with pytest.raises(ReproError, match="table_chunks"):
+        StackSpec(ftl="oxblock", host="db", table_chunks=-1).validate()
 
 
 # -- equivalence with the legacy hand-wired assembly --------------------------
