@@ -272,6 +272,7 @@ class OXBlock:
             # copy of each sector, when the unit write reaches the device.
             view = memoryview(data)
             ws_min = self.geometry.ws_min
+            sectors_per_chunk = self.geometry.sectors_per_chunk
             if (count == ws_min
                     and self.provisioner.current_unit_remaining("user")
                     == 0):
@@ -288,15 +289,16 @@ class OXBlock:
                                            immutable=type(data) is bytes))
                 linear0 = self.geometry.linearize(ppas[0])
                 previous_run = self.page_map.update_run(lba, linear0, count)
-                self.chunk_table.add_valid(key, count)
+                self.chunk_table.add_valid(linear0 // sectors_per_chunk,
+                                           count)
+                invalidate = self.chunk_table.invalidate
                 for index in range(count):
                     previous = previous_run[index]
                     if previous < 0:      # was unmapped
                         entries.append((lba + index, linear0 + index,
                                         NO_PPA))
                     else:
-                        self.chunk_table.invalidate(
-                            self.geometry.delinearize(previous).chunk_key())
+                        invalidate(previous // sectors_per_chunk)
                         entries.append((lba + index, linear0 + index,
                                         previous))
             else:
@@ -305,6 +307,7 @@ class OXBlock:
                 linearize = self.geometry.linearize
                 update = self.page_map.update
                 add_valid = self.chunk_table.add_valid
+                invalidate = self.chunk_table.invalidate
                 for index in range(count):
                     try:
                         # Space was ensured above and the lock is held with no
@@ -331,10 +334,9 @@ class OXBlock:
                     unit = stage(cur, ppa, payload)
                     linear = linearize(ppa)
                     previous = update(cur, linear)
-                    add_valid(ppa.chunk_key())
+                    add_valid(linear // sectors_per_chunk)
                     if previous is not None:
-                        self.chunk_table.invalidate(
-                            self.geometry.delinearize(previous).chunk_key())
+                        invalidate(previous // sectors_per_chunk)
                     entries.append((cur, linear,
                                     previous if previous is not None else NO_PPA))
                     if unit is not None:
@@ -470,13 +472,13 @@ class OXBlock:
             yield from self._checkpoint_on_pressure_proc()
             txn_id = self._take_txn_id()
             entries: List[Tuple[int, int, int]] = []
+            sectors_per_chunk = self.geometry.sectors_per_chunk
             for index in range(sectors):
                 self.buffer.discard(lba + index)
                 previous = self.page_map.remove(lba + index)
                 if previous is None:
                     continue
-                self.chunk_table.invalidate(
-                    self.geometry.delinearize(previous).chunk_key())
+                self.chunk_table.invalidate(previous // sectors_per_chunk)
                 entries.append((lba + index, NO_PPA, previous))
             if entries:
                 self.wal.append_map_update(txn_id, entries)
@@ -489,7 +491,7 @@ class OXBlock:
                     for cur, __, previous in reversed(entries):
                         self.page_map.update(cur, previous)
                         self.chunk_table.add_valid(
-                            self.geometry.delinearize(previous).chunk_key())
+                            previous // sectors_per_chunk)
                     raise
         finally:
             self._lock.release()
@@ -532,8 +534,9 @@ class OXBlock:
             info = self.chunk_table.get(key)
             if info.state is FtlChunkState.BAD:
                 continue
+            sectors_per_chunk = self.geometry.sectors_per_chunk
             lost = [lba for lba, linear in list(self.page_map.items())
-                    if self.geometry.delinearize(linear).chunk_key() == key]
+                    if linear // sectors_per_chunk == info.linear]
             for lba in lost:
                 self.page_map.remove(lba)
             # Partial write units headed for the dead chunk can never be
@@ -563,20 +566,20 @@ class OXBlock:
         flush with the txn's lbas in OOB, but nothing maps to them), which
         is exactly what the GC scan expects of superseded sectors.
         """
+        sectors_per_chunk = self.geometry.sectors_per_chunk
         for cur, linear, previous in reversed(entries):
             self.buffer.discard(cur)
-            self.chunk_table.invalidate(
-                self.geometry.delinearize(linear).chunk_key())
+            self.chunk_table.invalidate(linear // sectors_per_chunk)
             if previous == NO_PPA:
                 self.page_map.remove(cur)
             else:
-                previous_ppa = self.geometry.delinearize(previous)
                 self.page_map.update(cur, previous)
-                self.chunk_table.add_valid(previous_ppa.chunk_key())
+                self.chunk_table.add_valid(previous // sectors_per_chunk)
                 # The previous copy may itself still be staged (acked from
                 # the buffer, not yet programmed): re-expose it, or reads
                 # of this lba have no copy anywhere until the unit lands.
-                self.buffer.restore_readable(cur, previous_ppa)
+                self.buffer.restore_readable(
+                    cur, self.geometry.delinearize(previous))
 
     def _reclaim_space_proc(self, sectors: int):
         """Run GC under the (held) dispatch lock until the user stream

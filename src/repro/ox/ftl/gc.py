@@ -42,8 +42,6 @@ from repro.ox.ftl.wal import WalAppender
 from repro.ox.media import MediaManager
 from repro.policies.victim import GreedyVictimPolicy, VictimPolicy
 
-ChunkKey = Tuple[int, int, int]
-
 
 @dataclass
 class GcStats:
@@ -243,7 +241,7 @@ class GarbageCollector:
             collect_started = self.sim.now
         info = self.media.chunk_info(base)
         live, unsafe = yield from self._find_live_sectors_proc(
-            key, info.write_pointer, parent=span)
+            victim, info.write_pointer, parent=span)
         if unsafe or self.volatile_pending():
             # Unsafe sector: superseded only by a not-yet-durable copy.
             # Volatile pending: an acked txn still has staged sectors, so
@@ -268,14 +266,14 @@ class GarbageCollector:
             # their only copy.
             info = self.media.chunk_info(base)
             live, unsafe = yield from self._find_live_sectors_proc(
-                key, info.write_pointer, parent=span)
+                victim, info.write_pointer, parent=span)
             if unsafe or self.volatile_pending():
                 self._count_deferral_unsafe()
                 if obs is not None:
                     obs.end(span, outcome="deferred")
                 return False
         if live:
-            moved = yield from self._relocate_proc(key, live, parent=span)
+            moved = yield from self._relocate_proc(victim, live, parent=span)
             if not moved:
                 if obs is not None:
                     obs.end(span, outcome="aborted")
@@ -305,8 +303,8 @@ class GarbageCollector:
         self._update_waf_gauge()
         return True
 
-    def _find_live_sectors_proc(self, key: ChunkKey, write_pointer: int,
-                                parent=None):
+    def _find_live_sectors_proc(self, victim: FtlChunkInfo,
+                                write_pointer: int, parent=None):
         """Read the victim's OOB to learn owning LBAs, keep the sectors the
         mapping table still points at.  The read is real device traffic —
         this is the GC interference the locality experiment measures.
@@ -316,44 +314,48 @@ class GarbageCollector:
         superseding copy that is **not yet durable** — destroying the old
         copy while the new one is still volatile would strand a committed
         mapping if power failed.
+
+        Classification is integer arithmetic on linear sectors: a sector
+        is live iff the map points exactly at it, and a superseding copy
+        is durable iff its offset is below its chunk's flushed pointer.
         """
         if write_pointer == 0:
             return [], 0
-        ppas = [Ppa(*key, s) for s in range(write_pointer)]
+        group, pu, chunk = victim.key
+        ppas = [Ppa(group, pu, chunk, s) for s in range(write_pointer)]
         completion = yield from self.media.read_proc(ppas, parent=parent)
         self.media.require_ok(completion, "GC victim scan")
         live: List[Tuple[int, int]] = []   # (sector, lba)
         unsafe = 0
-        delinearize = self.geometry.delinearize
+        sectors_per_chunk = self.geometry.sectors_per_chunk
+        base = victim.linear * sectors_per_chunk
+        lookup = self.page_map.lookup
+        chunks = self.media.chunks_by_linear
         for sector, lba in enumerate(completion.oob):
             if not isinstance(lba, int) or lba == NO_PPA:
                 continue
-            current = self.page_map.lookup(lba)
+            current = lookup(lba)
             if current is None:
                 # Trimmed.  Trims are WAL-committed (FUA) before they are
                 # acknowledged, so the old copy is safely dead.
                 continue
-            ppa = delinearize(current)
-            if ppa.chunk_key() == key and ppa.sector == sector:
+            if current == base + sector:
                 live.append((sector, lba))
                 continue
-            descriptor = self.media.chunk_info(ppa)
-            if ppa.sector >= descriptor.flushed_pointer:
+            chunk_linear, offset = divmod(current, sectors_per_chunk)
+            if offset >= chunks[chunk_linear].flushed_pointer:
                 unsafe += 1
         return live, unsafe
 
-    def _relocate_proc(self, key: ChunkKey, live: List[Tuple[int, int]],
-                       parent=None):
+    def _relocate_proc(self, victim: FtlChunkInfo,
+                       live: List[Tuple[int, int]], parent=None):
         """Copy *live* out of the victim and commit the moves; returns True
         on success, False when allocation ran dry mid-relocation."""
         ws_min = self.geometry.ws_min
-        group = key[0]
-        src: List[Ppa] = []
-        dst: List[Ppa] = []
-        lbas: List[int] = []
-        for sector, lba in live:
-            src.append(Ppa(*key, sector))
-            lbas.append(lba)
+        sectors_per_chunk = self.geometry.sectors_per_chunk
+        group, pu, chunk = victim.key
+        src = [Ppa(group, pu, chunk, sector) for sector, __ in live]
+        lbas = [lba for __, lba in live]
         # Pad the relocation to whole write units with dead-sector copies;
         # their destination OOB is written as NO_PPA so a later GC scan of
         # the destination chunk sees them as unowned.
@@ -361,11 +363,16 @@ class GarbageCollector:
         for __ in range(pad):
             src.append(src[-1])   # recopy an arbitrary sector as filler
             lbas.append(NO_PPA)
+        dst: List[Ppa] = []
+        unit_starts: List[int] = []   # first linear sector of each unit
         try:
             for __ in range(0, len(src), ws_min):
                 unit_key, first = self.provisioner.allocate_unit(
                     "gc", group=group)
                 dst.extend(Ppa(*unit_key, first + i) for i in range(ws_min))
+                unit_starts.append(
+                    self.chunk_table.get(unit_key).linear * sectors_per_chunk
+                    + first)
         except OutOfSpaceError:
             # _fits() said this would fit, so accounting drifted; don't
             # raise out of the collector.  Pad out the units already taken
@@ -379,30 +386,34 @@ class GarbageCollector:
             self._count_skip_no_space()
             return False
         completion = yield from self.media.copy_proc(src, dst,
-                                                     dst_oob=list(lbas),
+                                                     dst_oob=lbas,
                                                      parent=parent)
         self.media.require_ok(completion, "GC relocation copy")
         yield from self.media.flush_proc()
 
         # Re-validate under the (held) dispatch lock and commit the moves.
+        # Live sectors come first in src (the pads trail them), so the
+        # i-th live sector went to offset i % ws_min of unit i // ws_min.
         txn = self.next_txn_id()
         entries: List[Tuple[int, int, int]] = []
-        for src_ppa, dst_ppa, lba in zip(src, dst, lbas):
-            if lba == NO_PPA:
-                continue
-            old_linear = self.geometry.linearize(src_ppa)
-            if self.page_map.lookup(lba) != old_linear:
+        base = victim.linear * sectors_per_chunk
+        lookup, update = self.page_map.lookup, self.page_map.update
+        add_valid = self.chunk_table.add_valid
+        for index, (sector, lba) in enumerate(live):
+            old_linear = base + sector
+            if lookup(lba) != old_linear:
                 continue   # overwritten while we copied; copy is garbage
-            new_linear = self.geometry.linearize(dst_ppa)
-            self.page_map.update(lba, new_linear)
-            self.chunk_table.add_valid(dst_ppa.chunk_key())
-            self.chunk_table.invalidate(key)
+            unit, offset = divmod(index, ws_min)
+            new_linear = unit_starts[unit] + offset
+            update(lba, new_linear)
+            add_valid(new_linear // sectors_per_chunk)
             entries.append((lba, new_linear, old_linear))
-            self.stats.sectors_relocated += 1
-        if self.obs is not None and entries:
-            self.obs.metrics.counter(
-                "ftl.gc.sectors_relocated").increment(len(entries))
         if entries:
+            self.chunk_table.invalidate(victim.linear, len(entries))
+            self.stats.sectors_relocated += len(entries)
+            if self.obs is not None:
+                self.obs.metrics.counter(
+                    "ftl.gc.sectors_relocated").increment(len(entries))
             self.wal.append_map_update(txn, entries)
             self.wal.append_commit(txn)
             yield from self.wal.flush_proc(parent=parent)

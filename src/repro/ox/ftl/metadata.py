@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import FTLError
 from repro.ocssd.geometry import DeviceGeometry
@@ -51,7 +51,13 @@ class FtlChunkInfo:
 
 
 class ChunkTable:
-    """All data-region chunks, indexed by chunk key."""
+    """All data-region chunks, indexed by chunk key and by linear chunk
+    index (``linear_sector // sectors_per_chunk``).
+
+    Validity accounting and GC work on linear indices: the mapping
+    table stores linear sectors, so a caller gets the chunk with one
+    integer division instead of a ``Ppa`` per sector.
+    """
 
     def __init__(self, geometry: DeviceGeometry,
                  data_chunks: Iterator[ChunkKey]):
@@ -63,6 +69,15 @@ class ChunkTable:
             key: FtlChunkInfo(key=key,
                               linear=(key[0] * pus + key[1]) * per_pu + key[2])
             for key in data_chunks}
+        # One slot per device chunk (None outside the data region), and
+        # each group's chunks in table order: built once, so validity
+        # updates index a list and a GC candidate scan walks one group.
+        self._by_linear: List[Optional[FtlChunkInfo]] = \
+            [None] * geometry.total_chunks
+        self._by_group: Dict[int, List[FtlChunkInfo]] = {}
+        for info in self._chunks.values():
+            self._by_linear[info.linear] = info
+            self._by_group.setdefault(info.key[0], []).append(info)
         # The logical clock behind chunk age: ticks once per validity
         # gain, so "age" means "writes ago", independent of timing model.
         self._seq = 0
@@ -85,6 +100,24 @@ class ChunkTable:
     def values(self) -> Iterator[FtlChunkInfo]:
         return iter(self._chunks.values())
 
+    def key_of(self, chunk_linear: int) -> ChunkKey:
+        """The ``(group, pu, chunk)`` key of a linear chunk index."""
+        pu_linear, chunk = divmod(chunk_linear, self.geometry.chunks_per_pu)
+        group, pu = divmod(pu_linear, self.geometry.pus_per_group)
+        return (group, pu, chunk)
+
+    def at(self, chunk_linear: int) -> FtlChunkInfo:
+        """The data-region chunk with linear index *chunk_linear*."""
+        try:
+            info = self._by_linear[chunk_linear]
+        except IndexError:
+            info = None
+        if info is None or chunk_linear < 0:
+            raise FTLError(
+                f"chunk {self.key_of(chunk_linear)} (linear {chunk_linear}) "
+                f"is not in the data region")
+        return info
+
     # -- the policy clock ---------------------------------------------------------
 
     @property
@@ -98,33 +131,34 @@ class ChunkTable:
 
     # -- validity accounting ------------------------------------------------------
 
-    def add_valid(self, key: ChunkKey, count: int = 1) -> None:
-        info = self.get(key)
+    def add_valid(self, chunk_linear: int, count: int = 1) -> None:
+        """*count* more sectors of the chunk back live LBAs (ticks the
+        clock once)."""
+        info = self.at(chunk_linear)
         info.valid_count += count
         self._seq += 1
         info.write_seq = self._seq
-        capacity = self._capacity
-        if info.valid_count > capacity:
+        if info.valid_count > self._capacity:
             raise FTLError(
-                f"chunk {key} valid count {info.valid_count} exceeds "
-                f"capacity {capacity}")
+                f"chunk {info.key} valid count {info.valid_count} exceeds "
+                f"capacity {self._capacity}")
 
-    def invalidate(self, key: ChunkKey, count: int = 1) -> None:
-        info = self.get(key)
+    def invalidate(self, chunk_linear: int, count: int = 1) -> None:
+        """*count* sectors of the chunk no longer back live LBAs."""
+        info = self.at(chunk_linear)
         info.valid_count -= count
         if info.valid_count < 0:
-            raise FTLError(f"chunk {key} valid count went negative")
+            raise FTLError(f"chunk {info.key} valid count went negative")
 
     # -- GC support -------------------------------------------------------------------
 
     def gc_candidates(self, group: int) -> List[FtlChunkInfo]:
         """FULL chunks of *group* with at least one invalid sector, in
         table (linear) order — the raw pool a victim policy orders."""
-        capacity = self.geometry.sectors_per_chunk
-        return [info for key, info in self._chunks.items()
-                if key[0] == group
-                and info.state is FtlChunkState.FULL
-                and info.valid_count < capacity]
+        capacity = self._capacity
+        full = FtlChunkState.FULL
+        return [info for info in self._by_group.get(group, ())
+                if info.state is full and info.valid_count < capacity]
 
     def victims_in_group(self, group: int) -> List[FtlChunkInfo]:
         """GC candidates of *group*, most invalid first — the greedy
@@ -147,10 +181,7 @@ class ChunkTable:
         return rows
 
     def load_row(self, chunk_linear: int, state: int, valid: int) -> None:
-        per_pu = self.geometry.chunks_per_pu
-        pu_linear, chunk = divmod(chunk_linear, per_pu)
-        group, pu = divmod(pu_linear, self.geometry.pus_per_group)
-        key = (group, pu, chunk)
+        key = self.key_of(chunk_linear)
         if key not in self._chunks:
             # Layout changed between format and recovery; refuse silently
             # rebuilding the wrong world.

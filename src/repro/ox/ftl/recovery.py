@@ -92,7 +92,8 @@ def recover_proc(media: MediaManager, layout: MetadataLayout,
     records = yield from reader.read_proc()
     report.wal_sectors_read = reader.sectors_read
     report.records_decoded = len(records)
-    data_keys = set(key for key, __ in chunk_table.items())
+    sectors_per_chunk = geometry.sectors_per_chunk
+    data_chunks = set(info.linear for info in chunk_table.values())
 
     def classify(linear_ppa: int) -> str:
         """Where did this entry's data end up?
@@ -103,13 +104,13 @@ def recover_proc(media: MediaManager, layout: MetadataLayout,
         ``"gone"``: the data died in the volatile cache — the txn never
         fully persisted and must be dropped whole for atomicity.
         """
-        ppa = geometry.delinearize(linear_ppa)
-        if ppa.chunk_key() not in data_keys:
+        chunk_linear, sector = divmod(linear_ppa, sectors_per_chunk)
+        if chunk_linear not in data_chunks:
             return "gone"
-        info = media.chunk_info(ppa)
+        info = media.chunk_info(geometry.delinearize(linear_ppa))
         if info.state is ChunkState.OFFLINE:
             return "offline"
-        return "ok" if ppa.sector < info.write_pointer else "gone"
+        return "ok" if sector < info.write_pointer else "gone"
 
     # Pass 1: collect the committed transactions (paying the replay CPU
     # cost) and index, per LBA, which transactions write it and in what
@@ -173,28 +174,27 @@ def recover_proc(media: MediaManager, layout: MetadataLayout,
                 continue
             if status == "ok":
                 previous = page_map.update(lba, new)
-                chunk_table.add_valid(geometry.delinearize(new).chunk_key())
+                chunk_table.add_valid(new // sectors_per_chunk)
             else:   # trim, or data lost with its offline chunk
                 previous = page_map.remove(lba)
                 if status == "offline":
                     report.lost_lbas.append(lba)
             if previous is not None:
-                chunk_table.invalidate(
-                    geometry.delinearize(previous).chunk_key())
+                chunk_table.invalidate(previous // sectors_per_chunk)
         report.txns_applied += 1
 
     # 3. Physical reconciliation + provisioner rebuild.
     open_candidates = []
-    offline_keys = set()
+    offline_chunks = set()
     for descriptor in media.scan_chunks():
         key = descriptor.ppa.chunk_key()
-        if key not in data_keys:
+        if key not in chunk_table:
             continue
         info = chunk_table.get(key)
         if descriptor.state is ChunkState.OFFLINE:
             info.state = FtlChunkState.BAD
             info.valid_count = 0
-            offline_keys.add(key)
+            offline_chunks.add(info.linear)
         elif descriptor.state is ChunkState.FREE:
             info.state = FtlChunkState.FREE
             info.valid_count = 0
@@ -211,14 +211,13 @@ def recover_proc(media: MediaManager, layout: MetadataLayout,
             # cannot be resumed (programs start at unit boundaries), so
             # it stays closed early and GC reclaims it eventually.
 
-    if offline_keys:
+    if offline_chunks:
         # The checkpoint may predate a retirement: drop mappings into
         # chunks that ended up offline, mirroring the live policy of
         # zero-reads for data lost with its chunk.  Validity counts were
         # zeroed with the chunk above, so only the map needs cleaning.
         dropped = [lba for lba, linear in list(page_map.items())
-                   if geometry.delinearize(linear).chunk_key()
-                   in offline_keys]
+                   if linear // sectors_per_chunk in offline_chunks]
         for lba in dropped:
             page_map.remove(lba)
         report.lost_lbas.extend(dropped)

@@ -45,6 +45,11 @@ class MediaManager:
         self.device = device
         self.sim = device.sim
         self.tenant = tenant
+        #: The device's chunks by linear chunk index (its chunk table is
+        #: built in address order), read only: for a probe per sector
+        #: (GC reads ``flushed_pointer``) where :meth:`chunk_info` would
+        #: build a descriptor each time.
+        self.chunks_by_linear = list(device.chunks.values())
 
     @property
     def geometry(self) -> DeviceGeometry:

@@ -305,13 +305,17 @@ def test_unreplicated_cluster_loses_reads_when_its_shard_dies():
     assert result.merged["cluster.reads_verified_total"] == 0
 
 
-def test_module_runner_executes_a_json_cluster_spec(tmp_path, capsys):
+def test_module_runner_executes_a_json_cluster_spec(tmp_path, capsys,
+                                                   monkeypatch):
     from repro.cluster.__main__ import main
+    # Results go to tmp_path: a test run leaves benchmarks/results alone.
+    monkeypatch.setattr("repro.benchhelpers.RESULTS_DIR", str(tmp_path))
     spec_path = tmp_path / "cluster.json"
     spec_path.write_text(json.dumps(tiny_cluster().to_dict()))
     assert main([str(spec_path), "--name", "cluster-main-test"]) == 0
     out = capsys.readouterr().out
     assert "cluster.reads_verified_total" in out
+    assert (tmp_path / "cluster-main-test.json").exists()
 
 
 def test_module_runner_rejects_a_bad_spec(tmp_path, capsys):

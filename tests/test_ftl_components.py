@@ -80,22 +80,42 @@ class TestChunkTable:
         return geometry, ChunkTable(geometry, iter(keys))
 
     def test_valid_accounting(self):
-        __, table = self.make()
-        table.add_valid((0, 0, 0), 3)
-        table.invalidate((0, 0, 0), 2)
-        assert table.get((0, 0, 0)).valid_count == 1
+        geometry, table = self.make()
+        # Validity is keyed by linear chunk index: linear sector // spc.
+        chunk = geometry.linearize(Ppa(1, 0, 3, 7)) \
+            // geometry.sectors_per_chunk
+        assert table.at(chunk) is table.get((1, 0, 3))
+        table.add_valid(chunk, 3)
+        table.invalidate(chunk, 2)
+        assert table.get((1, 0, 3)).valid_count == 1
         with pytest.raises(FTLError):
-            table.invalidate((0, 0, 0), 5)
+            table.invalidate(chunk, 5)
 
     def test_valid_capacity_bound(self):
         geometry, table = self.make()
         with pytest.raises(FTLError):
-            table.add_valid((0, 0, 0), geometry.sectors_per_chunk + 1)
+            table.add_valid(0, geometry.sectors_per_chunk + 1)
 
     def test_unknown_chunk_rejected(self):
         __, table = self.make()
         with pytest.raises(FTLError):
             table.get((9, 9, 9))
+
+    def test_linear_index_outside_data_region_rejected(self):
+        geometry = tiny_geometry()
+        reserved = (0, 1, 2)   # a metadata chunk: no table row
+        keys = [(g, p, c) for g in range(2) for p in range(2)
+                for c in range(8) if (g, p, c) != reserved]
+        table = ChunkTable(geometry, iter(keys))
+        hole = geometry.linearize(Ppa(*reserved, 0)) \
+            // geometry.sectors_per_chunk
+        for call in (table.add_valid, table.invalidate, table.at):
+            with pytest.raises(FTLError, match=r"chunk \(0, 1, 2\)"):
+                call(hole)
+        for outside in (geometry.total_chunks, -1):
+            with pytest.raises(FTLError, match="not in the data region"):
+                table.add_valid(outside)
+        assert table.clock() == 0   # a rejected gain ticks nothing
 
     def test_victims_sorted_by_invalidity(self):
         geometry, table = self.make()
@@ -217,7 +237,7 @@ class TestProvisioner:
     def test_release_with_valid_data_rejected(self):
         __, provisioner, table = self.make()
         key, __u = provisioner.allocate_unit()
-        table.add_valid(key, 1)
+        table.add_valid(table.get(key).linear, 1)
         with pytest.raises(FTLError):
             provisioner.release_chunk(key)
 

@@ -83,11 +83,70 @@ class TestRelocationPads:
         dst_key = media.geometry.delinearize(
             ftl.page_map.lookup(0)).chunk_key()
         written = media.chunk_info(Ppa(*dst_key, 0)).write_pointer
-        live, unsafe = run(
-            media, ftl.gc._find_live_sectors_proc(dst_key, written))
+        live, unsafe = run(media, ftl.gc._find_live_sectors_proc(
+            ftl.chunk_table.get(dst_key), written))
         assert unsafe == 0
         assert [lba for __, lba in live] == [0]
         assert all(lba != NO_PPA for __, lba in live)
+
+
+class TestVictimScan:
+    def test_scan_classifies_every_kind_of_sector(self):
+        """One victim holding all five kinds of OOB entry the scan meets:
+        a live sector, a trimmed lba, a sector superseded by a durable
+        copy, one superseded by a copy still in the device cache (the
+        only kind that makes the victim unsafe), and NO_PPA pads."""
+        # No pressure checkpoints: their device flush would make the
+        # cached copy durable behind the test's back.
+        config = BlockConfig(wal_chunk_count=4, ckpt_chunks_per_slot=1,
+                             gc_enabled=False, wal_pressure_threshold=2.0)
+        device, media, ftl, __ = make_stack(config=config)
+        geometry = media.geometry
+        spc = geometry.sectors_per_chunk
+        # Sectors 0-3 of the victim: lbas 10-13; the flush pads the rest
+        # of the write unit with NO_PPA.
+        ftl.write(10, b"\x0a" * (4 * SS))
+        ftl.flush()
+        victim_chunk = ftl.page_map.lookup(10) // spc
+        assert all(ftl.page_map.lookup(lba) // spc == victim_chunk
+                   for lba in (11, 12, 13))
+        ftl.trim(11)
+        ftl.write(12, b"\x0c" * SS)
+        ftl.flush()                           # lba 12's new copy: durable
+        durable_chunk, durable_offset = divmod(ftl.page_map.lookup(12), spc)
+        assert durable_chunk != victim_chunk
+        assert (media.chunks_by_linear[durable_chunk].flushed_pointer
+                > durable_offset)
+        # lba 13's new copy: step the write until the device has admitted
+        # it into its cache, before the background program lands.
+        writer = device.sim.spawn(ftl.write_proc(
+            13, b"\x0d" * (geometry.ws_min * SS)))
+        for __ in range(10_000):
+            device.sim.step()
+            cached_chunk, cached_offset = divmod(ftl.page_map.lookup(13),
+                                                 spc)
+            cached = media.chunks_by_linear[cached_chunk]
+            if cached_chunk != victim_chunk \
+                    and cached.write_pointer > cached_offset:
+                break
+        else:
+            pytest.fail("the write never reached the device cache")
+        # The cached copy sits exactly at its chunk's flushed pointer: the
+        # boundary the durability compare must call unsafe.
+        assert cached.flushed_pointer == cached_offset
+
+        victim = ftl.chunk_table.at(victim_chunk)
+        live, unsafe = run(media, ftl.gc._find_live_sectors_proc(
+            victim, geometry.ws_min))
+        assert cached.flushed_pointer == cached_offset   # still cached
+        assert live == [(0, 10)]   # trimmed 11, superseded 12, pads: dead
+        assert unsafe == 1         # 13: superseded by a volatile copy
+
+        device.sim.run_until(writer)
+        ftl.flush()
+        live, unsafe = run(media, ftl.gc._find_live_sectors_proc(
+            victim, geometry.ws_min))
+        assert (live, unsafe) == ([(0, 10)], 0)
 
 
 class TestOutOfSpace:

@@ -14,6 +14,7 @@ commit and say why.
 
 import hashlib
 import os
+import random
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.cluster import ClusterSpec, run_cluster
 from repro.stack import StackSpec, build_stack, run_spec
 from repro.stack.spec import load_spec
 from repro.units import KIB, MIB
+from repro.workloads import ZipfianKeyChooser
 
 SPEC_DIR = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "examples", "specs")
@@ -70,6 +72,62 @@ def lsm_fill() -> dict:
     }
 
 
+def oxblock_gc(policy: str) -> dict:
+    """Zipf whole-unit overwrites with trims and flushes over an OX-Block
+    drive filled to 70%, then a tail of single-sector rewrites: both
+    write-path branches and trim feed the validity accounting, under GC
+    that runs hard (WAF near 2).  Cost-benefit reads the table's ``write_seq`` ticks,
+    so its row also pins the order of every validity gain."""
+    stack = build_stack(StackSpec(
+        name="oxblock-gc", ftl="oxblock",
+        geometry={"num_groups": 4, "pus_per_group": 2,
+                  "chunks_per_pu": 16, "pages_per_block": 6},
+        ftl_config={"wal_chunk_count": 4, "ckpt_chunks_per_slot": 1,
+                    "gc_low_watermark": 8, "gc_high_watermark": 14,
+                    "gc_policy": policy}))
+    ftl, sim = stack.ftl, stack.sim
+    geometry = stack.device.geometry
+    unit, sector = geometry.ws_min, geometry.sector_size
+    span = int(ftl.provisioner.free_chunks() * geometry.sectors_per_chunk
+               * 0.7) // unit
+    for index in range(span):
+        ftl.write(index * unit, bytes([index % 251]) * (unit * sector))
+    ftl.flush()
+    rng = random.Random(5)
+    zipf = ZipfianKeyChooser(span, theta=0.99, seed=3)
+    latencies = []
+    for op in range(800):
+        roll = rng.random()
+        target = zipf.next()
+        if roll < 0.95:
+            started = sim.now
+            ftl.write(target * unit, bytes([op % 251]) * (unit * sector))
+            latencies.append(sim.now - started)
+        elif roll < 0.98:
+            ftl.trim(target * unit + rng.randrange(unit), rng.randrange(1, 3))
+        else:
+            ftl.flush()
+    for op in range(160):
+        started = sim.now
+        ftl.write(op % 8, bytes([op % 251]) * sector)
+        latencies.append(sim.now - started)
+    ftl.flush()
+    sim.run()
+    stats = ftl.gc.stats
+    host = ftl.stats.sectors_written
+    return {
+        "sim_seconds": round(sim.now, 9),
+        "events_processed": sim.events_processed,
+        "write_latency_digest": hashlib.sha256(repr(
+            [round(x, 12) for x in latencies]).encode()).hexdigest()[:16],
+        "sectors_relocated": stats.sectors_relocated,
+        "chunks_recycled": stats.chunks_recycled,
+        "deferrals_unsafe": stats.deferrals_unsafe,
+        "skips_no_space": stats.skips_no_space,
+        "waf": round((host + stats.sectors_relocated) / host, 9),
+    }
+
+
 def lightlsm_smoke() -> dict:
     return run_spec(load_spec(os.path.join(SPEC_DIR, "lightlsm_smoke.json")))
 
@@ -97,6 +155,28 @@ GOLDEN = {
         "slowdown_puts": 96,
         "flushes": 24,
         "compactions": 13,
+    }),
+    # OX-Block GC under both victim orders that read different table
+    # state: greedy (valid counts) and cost-benefit (write_seq ages).
+    "oxblock_gc_greedy": (lambda: oxblock_gc("greedy"), {
+        "sim_seconds": 17.466296875,
+        "events_processed": 43314,
+        "write_latency_digest": "91d6e6697a4693c4",
+        "sectors_relocated": 16718,
+        "chunks_recycled": 797,
+        "deferrals_unsafe": 0,
+        "skips_no_space": 0,
+        "waf": 1.750089734,
+    }),
+    "oxblock_gc_cost_benefit": (lambda: oxblock_gc("cost_benefit"), {
+        "sim_seconds": 19.62529375,
+        "events_processed": 55665,
+        "write_latency_digest": "7dc6b7abc6652adb",
+        "sectors_relocated": 21882,
+        "chunks_recycled": 947,
+        "deferrals_unsafe": 0,
+        "skips_no_space": 0,
+        "waf": 1.98178392,
     }),
     "lightlsm_smoke": (lightlsm_smoke, {
         "sim_seconds": 0.21501775,

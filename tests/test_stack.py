@@ -251,8 +251,10 @@ def test_raw_workload_honors_seed_zero():
     assert zero == read_lbas(0), "seed 0 must be reproducible"
 
 
-def test_module_runner_executes_a_json_spec(tmp_path, capsys):
+def test_module_runner_executes_a_json_spec(tmp_path, capsys, monkeypatch):
     from repro.stack.__main__ import main
+    # Results go to tmp_path: a test run leaves benchmarks/results alone.
+    monkeypatch.setattr("repro.benchhelpers.RESULTS_DIR", str(tmp_path))
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps({
         "name": "runner-test", "geometry": SMOKE_GEOMETRY,
@@ -262,6 +264,7 @@ def test_module_runner_executes_a_json_spec(tmp_path, capsys):
     assert main([str(spec_path)]) == 0
     out = capsys.readouterr().out
     assert "runner-test" in out and "fill_ops_per_sec" in out
+    assert (tmp_path / "runner-test.json").exists()
 
 
 def test_module_runner_rejects_a_bad_spec(tmp_path, capsys):
